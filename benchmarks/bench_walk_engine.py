@@ -7,8 +7,8 @@ heter-views of growing size, for both engines:
 
 - *scalar*: :class:`UniformWalker` / :class:`BiasedCorrelatedWalker`
   (one Python-level step per walk per iteration);
-- *batched*: :class:`BatchedUniformWalker` /
-  :class:`BatchedBiasedCorrelatedWalker` (one vectorized draw across all
+- *batched*: :class:`LockstepWalker` with :class:`UniformPolicy` /
+  :class:`BiasedCorrelatedPolicy` (one vectorized draw across all
   active walks per iteration).
 
 Both engines share the same cached CSR adjacency, so the comparison
@@ -45,9 +45,10 @@ from repro.engine.observability import (  # noqa: E402
 )
 from repro.graph import HeteroGraph, separate_views  # noqa: E402
 from repro.walks import (  # noqa: E402
-    BatchedBiasedCorrelatedWalker,
-    BatchedUniformWalker,
+    BiasedCorrelatedPolicy,
     BiasedCorrelatedWalker,
+    LockstepWalker,
+    UniformPolicy,
     UniformWalker,
     build_corpus,
 )
@@ -88,10 +89,13 @@ def bench_one_size(
     view = synthetic_heter_view(num_nodes, num_edges, seed)
     rng = np.random.default_rng(seed)
     walkers = {
-        "uniform": (UniformWalker(view, rng=rng), BatchedUniformWalker(view, rng=rng)),
+        "uniform": (
+            UniformWalker(view, rng=rng),
+            LockstepWalker(view, UniformPolicy(), rng=rng),
+        ),
         "biased": (
             BiasedCorrelatedWalker(view, rng=rng),
-            BatchedBiasedCorrelatedWalker(view, rng=rng),
+            LockstepWalker(view, BiasedCorrelatedPolicy(), rng=rng),
         ),
     }
     # warm both engines: CSR + lazy alias tables are one-time shared costs

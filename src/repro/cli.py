@@ -9,8 +9,8 @@ Subcommands::
                    [--checkpoint-dir ckpts/ --checkpoint-every 2 --resume]
                    [--health-policy raise|rollback|skip]
                    [--report run.json --trace]
-                   [--shard-timeout 60 --on-spill-error degrade|raise]
-                   [--chaos worker.crash,spill.bitflip] ...
+                   [--shard-timeout 60]
+                   [--chaos worker.crash,checkpoint.write_error] ...
     repro classify <graph.tsv> <labels.tsv> [--method transn] ...
     repro linkpred <graph.tsv> [--method transn] [--removal 0.4] ...
     repro query    <emb.tnemb> (--node ID ... | --nodes-file f | --sample N
@@ -86,8 +86,6 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
     workers = getattr(args, "workers", 0)
     stream = getattr(args, "stream_corpus", False)
     corpus_budget_mb = getattr(args, "corpus_budget_mb", None)
-    spill_dir = getattr(args, "spill_dir", None)
-    on_spill_error = getattr(args, "on_spill_error", "degrade")
     shard_timeout = getattr(args, "shard_timeout", None)
     dtype = getattr(args, "dtype", "float64")
     if name == "transn":
@@ -101,8 +99,6 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
                 workers=workers,
                 stream_corpus=stream,
                 corpus_budget_mb=corpus_budget_mb,
-                spill_dir=spill_dir,
-                on_spill_error=on_spill_error,
                 shard_timeout=shard_timeout,
                 dtype=dtype,
                 **({} if walk_policy is None else {"walk_policy": walk_policy}),
@@ -123,9 +119,9 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
                 "--workers is only supported for --method transn; "
                 "baselines sample their corpora serially"
             )
-        if stream or corpus_budget_mb is not None or spill_dir is not None:
+        if stream or corpus_budget_mb is not None:
             raise SystemExit(
-                "--stream-corpus/--corpus-budget-mb/--spill-dir are only "
+                "--stream-corpus/--corpus-budget-mb are only "
                 "supported for --method transn; baselines materialize "
                 "their corpora"
             )
@@ -133,11 +129,6 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
             raise SystemExit(
                 "--shard-timeout is only supported for --method transn; "
                 "baselines sample their corpora serially"
-            )
-        if on_spill_error != "degrade":
-            raise SystemExit(
-                "--on-spill-error is only supported for --method transn; "
-                "baselines never spill corpora"
             )
         if dtype != "float64":
             raise SystemExit(
@@ -572,20 +563,6 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
         "path; needs --stream-corpus",
     )
     parser.add_argument(
-        "--spill-dir",
-        default=None,
-        help="directory for on-disk corpus spill files (record once, "
-        "mmap-replay later epochs); needs --stream-corpus",
-    )
-    parser.add_argument(
-        "--on-spill-error",
-        choices=("degrade", "raise"),
-        default="degrade",
-        help="TransN only: what a corrupt or unwritable spill file does — "
-        "degrade (default: record the incident, disable replay, "
-        "regenerate the recorded draw) or raise (abort the run)",
-    )
-    parser.add_argument(
         "--shard-timeout",
         type=float,
         default=None,
@@ -720,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="POINT[:TIMES][,...]",
         help="arm deterministic fault injection for this run (transn "
         "only): comma-separated fault points, e.g. "
-        "'worker.crash,spill.bitflip' — the run must survive them; "
+        "'worker.crash,checkpoint.write_error' — the run must survive them; "
         "incidents land in --report (docs/fault_tolerance.md)",
     )
     p_train.set_defaults(func=_cmd_train)

@@ -94,12 +94,6 @@ class TransNConfig:
             count but follow a different random stream than ``workers=0``
             (``docs/parallelism.md``).  Training infrastructure, not
             part of Algorithm 1.
-        prefetch: overlap next-epoch corpus generation with the current
-            epoch's training (needs ``workers >= 1``).  ``None`` (the
-            default) enables prefetch whenever workers are on and the
-            walk policy is not relation-balanced — under balancing a
-            prefetched corpus would use a one-epoch-stale walk share,
-            so it must be opted into explicitly with ``True``.
         stream_corpus: generate each view's corpus as fixed-size walk
             blocks consumed immediately (``docs/performance.md``): peak
             memory is bounded by the block size instead of the corpus.
@@ -113,19 +107,6 @@ class TransNConfig:
             (:func:`repro.engine.block_walks_for_budget`) and the
             pipeline raises if a block would exceed it.  Needs
             ``stream_corpus=True``.
-        spill_dir: directory for on-disk corpus spill files.  The first
-            corpus draw of each view is appended block-by-block to
-            ``<spill_dir>/view<code>.spill``; later draws mmap-replay
-            the file instead of re-walking the graph.  Needs
-            ``stream_corpus=True``; conflicts with the
-            relation-balanced policy (its per-epoch walk shares need
-            fresh draws).
-        on_spill_error: "degrade" (default) survives a corrupt,
-            truncated, or unwritable spill file — the incident lands in
-            the run report (``spill/degraded``), replay is disabled for
-            the run, and the recorded draw is regenerated from seeds
-            captured at record time (``docs/fault_tolerance.md``);
-            "raise" propagates the error instead.
         shard_timeout: per-shard watchdog deadline (seconds) for
             parallel corpus builds.  A shard outliving it is treated as
             hung: the pool is killed and the remaining shards replay
@@ -170,12 +151,9 @@ class TransNConfig:
     checkpoint_every: int = 1
     health_policy: str | None = None
     workers: int = 0
-    prefetch: bool | None = None
 
     stream_corpus: bool = False
     corpus_budget_mb: float | None = None
-    spill_dir: str | None = None
-    on_spill_error: str = "degrade"
     shard_timeout: float | None = None
     dtype: str = "float64"
 
@@ -216,11 +194,6 @@ class TransNConfig:
         require(self.batch_size >= 1, "batch_size", "must be >= 1")
         require(self.checkpoint_every >= 1, "checkpoint_every", "must be >= 1")
         require(self.workers >= 0, "workers", "must be >= 0")
-        if self.prefetch and self.workers < 1:
-            raise ValueError(
-                "prefetch=True needs workers >= 1 (the background build "
-                f"runs on the worker pool), got workers={self.workers}"
-            )
         if self.dtype not in ("float32", "float64"):
             raise ValueError(
                 f"unknown dtype {self.dtype!r}; "
@@ -237,23 +210,6 @@ class TransNConfig:
                     "corpus_budget_mb bounds the streaming data path and "
                     "needs stream_corpus=True"
                 )
-        if self.spill_dir is not None:
-            if not self.stream_corpus:
-                raise ValueError(
-                    "spill_dir replays streamed corpus blocks and needs "
-                    "stream_corpus=True"
-                )
-            if self.walk_policy == "relation-balanced":
-                raise ValueError(
-                    "spill_dir conflicts with walk_policy="
-                    "'relation-balanced': replayed corpora would ignore "
-                    "the per-epoch walk shares"
-                )
-        if self.on_spill_error not in ("degrade", "raise"):
-            raise ValueError(
-                f"unknown on_spill_error {self.on_spill_error!r}; "
-                "expected 'degrade' or 'raise'"
-            )
         if self.shard_timeout is not None:
             require(self.shard_timeout > 0, "shard_timeout", "must be > 0")
             if self.workers < 1:
@@ -261,12 +217,6 @@ class TransNConfig:
                     "shard_timeout watches parallel corpus shards and "
                     f"needs workers >= 1, got workers={self.workers}"
                 )
-        if self.stream_corpus and self.prefetch:
-            raise ValueError(
-                "prefetch=True double-buffers whole corpora and conflicts "
-                "with stream_corpus=True (blocks already overlap work); "
-                "leave prefetch unset"
-            )
         if self.walk_policy not in POLICY_NAMES:
             raise ValueError(
                 f"unknown walk_policy {self.walk_policy!r}; "

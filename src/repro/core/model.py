@@ -178,25 +178,6 @@ class TransN:
         )
         if self._parallel is not None:
             weakref.finalize(self, self._parallel.shutdown)
-        balancing_possible = (
-            cfg.resolved_walk_policy == "relation-balanced"
-            and cfg.balance_strength > 0
-            and len(self.views) > 1
-        )
-        # under relation balancing a prefetched corpus would use a
-        # one-epoch-stale walk share, so prefetch is opt-in there; under
-        # streaming, double-buffering whole corpora would defeat the
-        # bounded-memory point, so prefetch stays off (config validation
-        # rejects an explicit prefetch=True)
-        prefetch = (
-            cfg.prefetch
-            if cfg.prefetch is not None
-            else (
-                self._parallel is not None
-                and not balancing_possible
-                and not cfg.stream_corpus
-            )
-        )
         self._cross_steps = 0  # cross-view step clock (parallel rng key)
 
         self.single_trainers = [
@@ -211,17 +192,10 @@ class TransN:
                 batch_size=cfg.batch_size,
                 policy=self._view_policy(),
                 parallel=self._parallel,
-                prefetch=bool(prefetch),
                 seed=cfg.seed,
                 view_code=view_code,
                 stream_corpus=cfg.stream_corpus,
                 corpus_budget_bytes=cfg.corpus_budget_bytes,
-                spill_path=(
-                    Path(cfg.spill_dir) / f"view{view_code}.spill"
-                    if cfg.spill_dir is not None
-                    else None
-                ),
-                on_spill_error=cfg.on_spill_error,
             )
             for view_code, view in enumerate(self.views)
         ]

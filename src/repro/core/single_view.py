@@ -9,17 +9,11 @@ embedding matrix.  Batching and negative sampling go through the shared
 
 from __future__ import annotations
 
-import copy
-from pathlib import Path
 from typing import Iterator
 
 from repro.engine import CorpusPipeline, StreamingCorpusPipeline
 from repro.engine.observability import NULL_REGISTRY, MetricsRegistry
-from repro.engine.parallel import (
-    ParallelRuntime,
-    PrefetchingSampler,
-    single_view_seed,
-)
+from repro.engine.parallel import ParallelRuntime, single_view_seed
 from repro.engine.pipeline import block_walks_for_budget
 from repro.graph.views import View
 from repro.skipgram import SkipGramTrainer, window_for_view
@@ -35,7 +29,6 @@ from repro.walks.corpus import (
     corpus_index_dtype,
     stream_corpus as stream_walk_corpus,
 )
-from repro.walks.spill import SpillFormatError, SpillReader, SpillWriter
 
 import numpy as np
 
@@ -69,33 +62,16 @@ class SingleViewTrainer:
         parallel: a :class:`repro.engine.ParallelRuntime` to build
             corpora on (``None`` keeps the serial path bit-identical to
             the pre-parallel implementation).
-        prefetch: overlap the next corpus build with training (needs
-            ``parallel``).
         seed / view_code: key the deterministic per-draw seed stream of
             the parallel path (``single_view_seed(seed, view_code, t)``);
             unused when ``parallel`` is ``None``.
         stream_corpus: consume the corpus as fixed-size walk blocks
             through a :class:`repro.engine.StreamingCorpusPipeline`
             instead of materializing it (``docs/performance.md``).
-            Incompatible with ``prefetch`` (blocks already bound the
-            resident set; double-buffering would re-materialize it).
         corpus_budget_bytes: hard peak-memory budget for the streaming
             data path; sizes blocks via
             :func:`repro.engine.block_walks_for_budget`.  Without it,
             blocks hold :data:`DEFAULT_BLOCK_WALKS` walks.
-        spill_path: corpus spill file.  When the file exists it is
-            mmap-replayed instead of walking the view; otherwise the
-            next draw's blocks are recorded to it (atomically — a
-            half-written draw leaves no file).  Streaming only.
-        on_spill_error: ``"degrade"`` (default) survives a corrupt,
-            truncated, or unwritable spill — the incident is recorded
-            (``spill/degraded`` counter + event), the spill is disabled
-            for the rest of the run, and each epoch regenerates the
-            recorded draw from state captured at record time (parallel:
-            the draw's seed sequence, so the walks are bit-identical to
-            the lost file; serial: the pre-draw RNG state restored into
-            an isolated generator, exact for single-block draws).
-            ``"raise"`` propagates the error instead.
     """
 
     def __init__(
@@ -112,19 +88,11 @@ class SingleViewTrainer:
         optimizer: str = "sgd",
         policy: WalkPolicy | None = None,
         parallel: ParallelRuntime | None = None,
-        prefetch: bool = False,
         seed: int = 0,
         view_code: int = 0,
         stream_corpus: bool = False,
         corpus_budget_bytes: int | None = None,
-        spill_path: str | Path | None = None,
-        on_spill_error: str = "degrade",
     ) -> None:
-        if on_spill_error not in ("degrade", "raise"):
-            raise ValueError(
-                f"on_spill_error must be 'degrade' or 'raise', "
-                f"got {on_spill_error!r}"
-            )
         if embeddings.shape[0] != view.num_nodes:
             raise ValueError(
                 f"embedding rows ({embeddings.shape[0]}) != view nodes "
@@ -152,23 +120,6 @@ class SingleViewTrainer:
         self._draws = 0  # monotonic corpus-draw clock, checkpointed
         self.stream_corpus = bool(stream_corpus)
         self.corpus_budget_bytes = corpus_budget_bytes
-        self.spill_path = Path(spill_path) if spill_path is not None else None
-        self.on_spill_error = on_spill_error
-        self._spill_disabled = False
-        #: regeneration state captured at record time (mode + seed/state
-        #: + count_scale); lets a degraded run re-derive the lost draw
-        self._spill_recording: dict | None = None
-        if self.stream_corpus and prefetch:
-            raise ValueError(
-                "stream_corpus and prefetch are mutually exclusive"
-            )
-        if self.spill_path is not None and not self.stream_corpus:
-            raise ValueError("spill_path needs stream_corpus=True")
-        self._prefetcher = (
-            PrefetchingSampler(parallel, self._corpus_task)
-            if parallel is not None and prefetch
-            else None
-        )
         if self.stream_corpus:
             self._index_dtype = corpus_index_dtype(view.num_nodes)
             if corpus_budget_bytes is not None:
@@ -208,8 +159,7 @@ class SingleViewTrainer:
 
         Serial without a runtime (the determinism-golden path); with one,
         walks fan out over the worker pool under the per-draw seed
-        stream, optionally taken from the prefetcher's double buffer.
-        The corpus is kept around so :meth:`evaluate_loss` can score
+        stream.  The corpus is kept around so :meth:`evaluate_loss` can score
         monitoring pairs without resampling the whole view.
         """
         if self.parallel is None:
@@ -222,37 +172,20 @@ class SingleViewTrainer:
                 rng=self.rng,
                 count_scale=self.walk_scale,
             )
-        elif self._prefetcher is not None:
-            self._last_corpus = self._prefetcher.corpus(self._draws)
-            self._draws += 1
         else:
-            self._last_corpus = self._corpus_task(self._draws)()
+            seed_seq = single_view_seed(self.seed, self.view_code, self._draws)
             self._draws += 1
-        return self._last_corpus
-
-    def _corpus_task(self, draw: int):
-        """A zero-arg builder of draw ``draw``'s corpus.
-
-        Called on the training thread at schedule time, so the balancer's
-        current ``walk_scale`` is captured here — the returned closure
-        reads no trainer state and can run on a prefetch thread.
-        """
-        count_scale = self.walk_scale
-        seed_seq = single_view_seed(self.seed, self.view_code, draw)
-
-        def build() -> WalkCorpus:
-            return self.parallel.build_corpus(
+            self._last_corpus = self.parallel.build_corpus(
                 self.view,
                 self.policy,
                 length=self.walk_length,
                 floor=self.walk_floor,
                 cap=self.walk_cap,
-                count_scale=count_scale,
+                count_scale=self.walk_scale,
                 seed_seq=seed_seq,
                 label=f"single_view/{self.view.edge_type}",
             )
-
-        return build
+        return self._last_corpus
 
     # ------------------------------------------------------------------
     # streaming corpus path
@@ -265,31 +198,8 @@ class SingleViewTrainer:
         fits one block is bit-identical to :meth:`sample_corpus`.  With
         a runtime, blocks derive from the per-draw seed stream — a
         deterministic stream of its own (``docs/parallelism.md``).
-
-        With a :attr:`spill_path`, an existing file is CRC-verified and
-        mmap-replayed (no walking, no RNG consumption); otherwise this
-        draw is recorded to it while streaming through.  Under
-        ``on_spill_error="degrade"`` a corrupt or unwritable spill never
-        aborts the run — see :meth:`_regenerate_blocks`.
         """
-        if self._spill_disabled:
-            return self._track_last(self._regenerate_blocks())
-        if self.spill_path is not None and self.spill_path.exists():
-            reader = self._open_replay()
-            if reader is None:  # degraded: _spill_incident already logged
-                return self._track_last(self._regenerate_blocks())
-            return self._track_last(self._replay_blocks(reader))
-        recording = self.spill_path is not None
         if self.parallel is None:
-            if recording:
-                # captured *before* any draw: restoring this state into an
-                # isolated generator re-derives the recorded walks without
-                # consuming self.rng (replay consumes nothing either)
-                self._spill_recording = {
-                    "mode": "serial",
-                    "state": copy.deepcopy(self.rng.bit_generator.state),
-                    "count_scale": self.walk_scale,
-                }
             blocks = stream_walk_corpus(
                 self.view,
                 self.walker,
@@ -304,12 +214,6 @@ class SingleViewTrainer:
         else:
             seed_seq = single_view_seed(self.seed, self.view_code, self._draws)
             self._draws += 1
-            if recording:
-                self._spill_recording = {
-                    "mode": "parallel",
-                    "seed_seq": seed_seq,
-                    "count_scale": self.walk_scale,
-                }
             blocks = self.parallel.stream_corpus(
                 self.view,
                 self.policy,
@@ -322,170 +226,13 @@ class SingleViewTrainer:
                 index_dtype=self._index_dtype,
                 label=f"single_view/{self.view.edge_type}",
             )
-        if recording:
-            blocks = self._record_blocks(blocks)
         return self._track_last(blocks)
-
-    def _spill_incident(self, stage: str, error: BaseException) -> None:
-        """Record a spill failure and disable the spill for this run.
-
-        Under ``on_spill_error="raise"`` the error propagates instead;
-        under ``"degrade"`` every later draw goes through
-        :meth:`_regenerate_blocks`.
-        """
-        if self.on_spill_error == "raise":
-            raise error
-        self._spill_disabled = True
-        self.metrics.incident(
-            "spill/degraded",
-            "spill unusable; replay disabled, regenerating the draw",
-            view=str(self.view.edge_type),
-            stage=stage,
-            path=str(self.spill_path),
-            error=repr(error),
-        )
-
-    def _open_replay(self) -> SpillReader | None:
-        """Open the spill and CRC-scan every block before replaying.
-
-        Verifying upfront means corruption is found before a single walk
-        reaches training (a mid-epoch discovery would force an epoch
-        restart); the scan is one sequential CRC pass over the file.
-        Returns ``None`` after degrading on any format/IO error.
-        """
-        reader = None
-        try:
-            reader = SpillReader(self.spill_path)
-            reader.verify()
-            return reader
-        except (OSError, SpillFormatError) as error:
-            if reader is not None:
-                reader.close()
-            self._spill_incident("replay", error)
-            return None
-
-    def _regenerate_blocks(self) -> Iterator[WalkCorpus]:
-        """Stand-in for a lost replay: re-derive the recorded draw.
-
-        Parallel mode replays the recorded draw's seed sequence — block
-        content is a pure function of it, so the stream is bit-identical
-        to the lost file and the whole run matches its fault-free twin.
-        Serial mode restores the captured pre-draw RNG state into an
-        isolated generator: exact for draws that fit one block (the
-        pipeline draws negatives from the shared RNG *between* blocks of
-        larger draws, which an isolated replay cannot see).  If nothing
-        was captured (the spill predates this process), a fresh draw
-        keeps training alive at the cost of determinism vs the recording
-        run.
-        """
-        recording = self._spill_recording
-        if recording is None:
-            if self.parallel is None:
-                yield from stream_walk_corpus(
-                    self.view,
-                    self.walker,
-                    length=self.walk_length,
-                    floor=self.walk_floor,
-                    cap=self.walk_cap,
-                    rng=self.rng,
-                    count_scale=self.walk_scale,
-                    block_walks=self._block_walks,
-                    index_dtype=self._index_dtype,
-                )
-            else:
-                seed_seq = single_view_seed(
-                    self.seed, self.view_code, self._draws
-                )
-                self._draws += 1
-                yield from self.parallel.stream_corpus(
-                    self.view,
-                    self.policy,
-                    length=self.walk_length,
-                    block_walks=self._block_walks,
-                    floor=self.walk_floor,
-                    cap=self.walk_cap,
-                    count_scale=self.walk_scale,
-                    seed_seq=seed_seq,
-                    index_dtype=self._index_dtype,
-                    label=f"single_view/{self.view.edge_type}",
-                )
-            return
-        if recording["mode"] == "parallel":
-            yield from self.parallel.stream_corpus(
-                self.view,
-                self.policy,
-                length=self.walk_length,
-                block_walks=self._block_walks,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                count_scale=recording["count_scale"],
-                seed_seq=recording["seed_seq"],
-                index_dtype=self._index_dtype,
-                label=f"single_view/{self.view.edge_type}",
-            )
-            return
-        bitgen = type(self.rng.bit_generator)()
-        bitgen.state = copy.deepcopy(recording["state"])
-        regen_rng = np.random.Generator(bitgen)
-        walker = LockstepWalker(self.view, self.policy, rng=regen_rng)
-        yield from stream_walk_corpus(
-            self.view,
-            walker,
-            length=self.walk_length,
-            floor=self.walk_floor,
-            cap=self.walk_cap,
-            rng=regen_rng,
-            count_scale=recording["count_scale"],
-            block_walks=self._block_walks,
-            index_dtype=self._index_dtype,
-        )
 
     def _track_last(self, blocks) -> Iterator[WalkCorpus]:
         """Remember the newest block for :meth:`evaluate_loss`."""
         for block in blocks:
             self._last_corpus = block
             yield block
-
-    def _record_blocks(self, blocks) -> Iterator[WalkCorpus]:
-        """Tee blocks into the spill file; finalize only on exhaustion.
-
-        An interrupted draw aborts the temp file (also via the writer's
-        GC hook when the generator is dropped mid-stream), so a partial
-        recording is never replayed.  An ``OSError`` while writing (disk
-        full, say) degrades under ``on_spill_error="degrade"``: recording
-        stops, the incident is logged, and the draw keeps streaming to
-        training untouched — the walks themselves never depended on the
-        disk.
-        """
-        writer = SpillWriter(
-            self.spill_path, self.walk_length, self._index_dtype
-        )
-        try:
-            for block in blocks:
-                if writer is not None:
-                    try:
-                        writer.append(block.matrix, block.lengths)
-                    except OSError as error:
-                        writer.abort()
-                        writer = None
-                        self._spill_incident("record", error)
-                yield block
-            if writer is not None:
-                try:
-                    writer.finalize()
-                except OSError as error:
-                    writer.abort()
-                    writer = None
-                    self._spill_incident("record", error)
-        except BaseException:
-            if writer is not None:
-                writer.abort()
-            raise
-
-    def _replay_blocks(self, reader: SpillReader) -> Iterator[WalkCorpus]:
-        """Stream the spilled corpus back through the kernel page cache."""
-        with reader:
-            yield from reader.corpora(self.view.graph)
 
     def bind_metrics(self, metrics: MetricsRegistry) -> None:
         """Route this view's metrics (and the inner SGNS trainer's
@@ -539,8 +286,6 @@ class SingleViewTrainer:
         # pre-parallel checkpoints lack the draw clock; 0 matches their
         # serial path, which never reads it
         self._draws = int(state.get("corpus_draws", 0))
-        if self._prefetcher is not None:
-            self._prefetcher.reset()  # any in-flight draw is now stale
         self._last_corpus = None
 
     def _monitoring_corpus(self, num_pairs: int) -> WalkCorpus:

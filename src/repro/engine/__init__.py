@@ -28,18 +28,16 @@ the same three pieces:
 
 - a **fault-injection harness** (:mod:`repro.engine.faults`): the
   :class:`FaultInjector` deterministically arms named fault points
-  (worker crashes/hangs, spill bit rot, checkpoint write errors) so
+  (worker crashes/hangs/exceptions, checkpoint write errors) so
   chaos tests and ``--chaos`` runs can prove the hardening below
   actually preserves bit-identical results;
 
 - a **parallel layer** (see ``docs/parallelism.md``): the
   :class:`ParallelRuntime` fans corpus generation across a process pool
   over shared-memory CSR arrays (:class:`SharedCSR`), trains
-  view-disjoint cross-view pairs concurrently (:func:`conflict_waves`),
-  and overlaps next-epoch sampling with training
-  (:class:`PrefetchingSampler`) — all behind the same
-  :class:`BatchSource` protocol, with ``workers=0`` bit-identical to
-  the serial path.
+  view-disjoint cross-view pairs concurrently (:func:`conflict_waves`)
+  — all behind the same :class:`BatchSource` protocol, with
+  ``workers=0`` bit-identical to the serial path.
 
 This is the seam where instrumentation, scheduling, and parallelism
 plug in once and apply to every method.
@@ -96,7 +94,6 @@ from repro.engine.parallel import (
     CROSS_VIEW_TAG,
     SINGLE_VIEW_TAG,
     ParallelRuntime,
-    PrefetchingSampler,
     SharedCSR,
     SharedCSRSpec,
     attach_shared_csr,
@@ -141,7 +138,6 @@ __all__ = [
     "ParallelRuntime",
     "Phase",
     "PhaseTimer",
-    "PrefetchingSampler",
     "ProgressReporter",
     "RelationBalancer",
     "RunReport",

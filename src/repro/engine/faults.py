@@ -1,12 +1,11 @@
 """Deterministic fault injection for chaos-testing the training runtime.
 
 A production run at millions-of-edges scale must survive hung workers,
-crashed shards, bit-rotted spill files, and full disks without losing the
-epoch.  The hardening that makes that true lives in
-:mod:`repro.engine.parallel` (shard watchdog, in-process retry, pool
-relaunch), :mod:`repro.walks.spill` (per-block CRC32), and
-:class:`repro.core.single_view.SingleViewTrainer` (graceful spill
-degradation) — this module provides the *controlled* failures that prove
+crashed shards, and full disks without losing the epoch.  The hardening
+that makes that true lives in :mod:`repro.engine.parallel` (shard
+watchdog, in-process retry, pool relaunch) and
+:class:`repro.engine.callbacks.Checkpointer` (a failed save is logged,
+not fatal) — this module provides the *controlled* failures that prove
 it works: a seeded :class:`FaultInjector` with named fault points that
 tests and the CLI's ``--chaos`` mode can arm.
 
@@ -20,10 +19,6 @@ Fault points
                             reasonable deadline (exercises the shard watchdog)
 ``worker.exception``        the next pool shard raises
                             :class:`FaultInjected` inside the worker
-``spill.write_enospc``      the next spill-block write raises
-                            ``OSError(ENOSPC)`` (disk full while recording)
-``spill.bitflip``           one byte of the next finalized spill file is
-                            flipped (bit rot; detected by block CRCs)
 ``checkpoint.write_error``  the next checkpoint save raises
                             ``OSError(ENOSPC)``
 ==========================  ==================================================
@@ -33,12 +28,11 @@ Determinism contract
 
 An injector never consults wall clock, thread identity, or probability:
 a fault point fires on exact invocation counts (``skip`` invocations let
-through, then ``times`` firings), and any randomness a fault needs (e.g.
-which byte to flip) comes from a per-point generator derived from the
-injector's seed — so an armed chaos run is exactly as reproducible as a
-clean one.  The hardened code paths are themselves deterministic (failed
-shards replay their seeds, corrupt spills regenerate the recorded draw),
-which is what lets tests assert *bit-identical* output under faults.
+through, then ``times`` firings) — so an armed chaos run is exactly as
+reproducible as a clean one.  The hardened code paths are themselves
+deterministic (failed shards replay their seeds, a failed checkpoint
+save leaves training untouched), which is what lets tests assert
+*bit-identical* output under faults.
 
 Usage
 -----
@@ -52,7 +46,8 @@ Tests arm a scoped injector::
 
 The CLI arms a process-global one from ``--chaos``::
 
-    repro train g.tsv --out e.txt --chaos worker.crash,spill.bitflip
+    repro train g.tsv --out e.txt --workers 1 --checkpoint-dir ck \\
+        --chaos worker.crash,checkpoint.write_error
 
 Production code consults the module-level accessors (:func:`get_active`,
 :func:`fire_os_error`, :func:`worker_fault_for_submission`), which are a
@@ -67,19 +62,14 @@ import os
 import signal
 import threading
 import time
-import zlib
 from contextlib import contextmanager
 from typing import Any, Iterator
-
-import numpy as np
 
 #: every fault point an injector may arm
 FAULT_POINTS = (
     "worker.crash",
     "worker.hang",
     "worker.exception",
-    "spill.write_enospc",
-    "spill.bitflip",
     "checkpoint.write_error",
 )
 
@@ -110,15 +100,14 @@ class FaultInjector:
     """Seeded, countable fault arming for the named :data:`FAULT_POINTS`.
 
     Args:
-        seed: keys every per-point RNG (:meth:`rng`); two injectors with
-            the same seed and armings produce identical chaos.
+        seed: recorded in the ``faults/armed`` event; two injectors
+            with the same armings produce identical chaos.
         hang_seconds: how long a ``worker.hang`` fault sleeps.  Must
             exceed the runtime's ``shard_timeout`` for the watchdog to
             trip; the default is far past any sane deadline.
 
-    Thread safety: :meth:`should_fire` mutates counters under a lock —
-    prefetch threads and the training thread may probe points
-    concurrently.
+    Thread safety: :meth:`should_fire` mutates counters under a lock,
+    so any thread may probe points.
     """
 
     def __init__(self, seed: int = 0, hang_seconds: float = 3600.0) -> None:
@@ -135,7 +124,7 @@ class FaultInjector:
         """Arm ``point`` to fire ``times`` times after ``skip`` passes.
 
         Returns ``self`` so armings chain:
-        ``FaultInjector(seed=7).arm("worker.crash").arm("spill.bitflip")``.
+        ``FaultInjector(seed=7).arm("worker.crash").arm("worker.hang")``.
         """
         if point not in FAULT_POINTS:
             raise ValueError(
@@ -156,7 +145,7 @@ class FaultInjector:
         """Build an injector from a ``--chaos`` spec string.
 
         The spec is a comma-separated list of ``point`` or ``point:times``
-        entries, e.g. ``"worker.crash,spill.bitflip:2"``.
+        entries, e.g. ``"worker.crash,checkpoint.write_error:2"``.
         """
         injector = cls(seed=seed, hang_seconds=hang_seconds)
         for entry in spec.split(","):
@@ -225,16 +214,6 @@ class FaultInjector:
         """Raise ``OSError(err)`` if ``point`` fires this invocation."""
         if self.should_fire(point):
             raise OSError(err, f"{os.strerror(err)} (injected: {point})")
-
-    def rng(self, point: str) -> np.random.Generator:
-        """A deterministic per-point generator (e.g. bitflip placement).
-
-        Derived from ``(seed, crc32(point))`` — independent of every
-        training stream and of the other points'.
-        """
-        return np.random.default_rng(
-            np.random.SeedSequence((self.seed, zlib.crc32(point.encode())))
-        )
 
 
 # ----------------------------------------------------------------------

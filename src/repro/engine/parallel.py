@@ -1,5 +1,5 @@
-"""Parallel training runtime: shared-memory corpus workers, concurrent
-cross-view waves, and an async prefetch pipeline.
+"""Parallel training runtime: shared-memory corpus workers and concurrent
+cross-view waves.
 
 Algorithm 1's two phases are embarrassingly parallel along different
 axes, and this module exploits both without touching the training math:
@@ -21,10 +21,6 @@ axes, and this module exploits both without touching the training math:
    disjoint translators, embeddings and optimizer rows, and NumPy
    releases the GIL on the heavy ops.
 
-3. **Prefetch** (:class:`PrefetchingSampler`) double-buffers corpora:
-   while epoch ``t`` trains, epoch ``t+1``'s corpus builds in a
-   background thread that feeds the same process pool.
-
 Determinism contract
 --------------------
 ``workers=0`` never constructs a runtime — the serial path is untouched
@@ -33,10 +29,7 @@ every random draw derives from a :class:`numpy.random.SeedSequence`
 keyed on ``(seed, phase tag, view/pair id, draw index)`` — never on
 worker identity, thread schedule, or wall clock — so a fixed ``N``
 reproduces exactly across runs, machines, and pool-vs-fallback
-execution.  Prefetch changes *when* a corpus is built, not its seeds,
-so it does not change results (the one documented exception: relation
-balancing scales are captured at schedule time, one epoch early — see
-``docs/parallelism.md``).
+execution.
 
 Fault tolerance
 ---------------
@@ -71,7 +64,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -353,14 +346,14 @@ class ParallelRuntime:
 
     One runtime serves a whole model fit.  The process pool is launched
     *eagerly* in ``__init__`` — on fork platforms the workers must be
-    forked from the main thread before any prefetch/wave threads exist
+    forked from the main thread before any wave thread exists
     (forking a multithreaded process can inherit held locks).  A pool
     *relaunch* after a mid-run loss (:meth:`_pool_ready`) cannot honor
     that guarantee; workers only run NumPy walk kernels, which keeps the
     inherited-lock risk confined to code that never takes locks.
 
     Args:
-        workers: pool width; also sizes the wave/prefetch thread pools.
+        workers: pool width; also sizes the wave thread pool.
         shard_timeout: per-shard watchdog deadline in seconds for
             :meth:`_walk_sharded` (``None`` disables — a hung worker
             then hangs the build, the pre-hardening behavior).
@@ -422,7 +415,6 @@ class ParallelRuntime:
         )
         self._pool.submit(_ping).result()  # fork/spawn workers now
         self._wave_pool: ThreadPoolExecutor | None = None
-        self._prefetch_pool: ThreadPoolExecutor | None = None
         #: id(csr) -> (csr, SharedCSR); the csr reference keeps the id valid
         self._shared: dict[int, tuple[CSRAdjacency, SharedCSR]] = {}
         self._pool_broken = False
@@ -544,13 +536,6 @@ class ParallelRuntime:
                 max_workers=self.workers, thread_name_prefix="transn-wave"
             )
         return self._wave_pool
-
-    def _prefetch_executor(self) -> ThreadPoolExecutor:
-        if self._prefetch_pool is None:
-            self._prefetch_pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="transn-prefetch"
-            )
-        return self._prefetch_pool
 
     # -- corpus generation ---------------------------------------------
     def _walk_sharded(
@@ -857,24 +842,17 @@ class ParallelRuntime:
     def shutdown(self) -> None:
         """Stop the pools and unlink every shared segment (idempotent).
 
-        Order matters: prefetch threads feed the process pool, so they
-        drain first; segments unlink last, once nothing can attach.
-        Each resource is released independently — a pool that broke or
-        hung mid-epoch must not leak the thread pools or the shared
-        segments, so no step's failure skips the rest.
+        Segments unlink last, once nothing can attach.  Each resource
+        is released independently — a pool that broke or hung mid-epoch
+        must not leak the thread pool or the shared segments, so no
+        step's failure skips the rest.
         """
         if self._closed:
             return
         self._closed = True
-        prefetch, self._prefetch_pool = self._prefetch_pool, None
         wave, self._wave_pool = self._wave_pool, None
         pool, self._pool = self._pool, None
         shared, self._shared = list(self._shared.values()), {}
-        try:
-            if prefetch is not None:
-                prefetch.shutdown(wait=True, cancel_futures=True)
-        except Exception:  # pragma: no cover - defensive
-            pass
         try:
             if wave is not None:
                 wave.shutdown(wait=True)
@@ -905,70 +883,3 @@ class ParallelRuntime:
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-
-
-# ----------------------------------------------------------------------
-# async prefetch
-# ----------------------------------------------------------------------
-class PrefetchingSampler:
-    """Double-buffers corpus builds behind the training loop.
-
-    ``make_task(t)`` is called on the *consumer's* thread at schedule
-    time and must return a zero-argument closure producing draw ``t``'s
-    corpus — anything epoch-dependent (e.g. the relation balancer's
-    ``count_scale``) is captured then, so the background build reads no
-    trainer state.  Because every build is seeded by its draw index, a
-    prefetched corpus is identical to one built on demand; prefetching
-    changes wall-clock overlap, never results.
-    """
-
-    def __init__(
-        self,
-        runtime: ParallelRuntime,
-        make_task: Callable[[int], Callable[[], WalkCorpus]],
-    ) -> None:
-        self._runtime = runtime
-        self._make_task = make_task
-        self._pending: tuple[int, Any] | None = None
-
-    @property
-    def next_index(self) -> int | None:
-        """The draw index currently building in the background, if any."""
-        return None if self._pending is None else self._pending[0]
-
-    def corpus(self, index: int) -> WalkCorpus:
-        """Corpus for draw ``index``; schedules draw ``index + 1``.
-
-        A pending build for ``index`` is consumed (hit); a pending build
-        for any other draw — after a checkpoint restore rewound the
-        clock, say — is discarded and the corpus is built synchronously
-        (miss).
-        """
-        pending, self._pending = self._pending, None
-        metrics = self._runtime._metrics
-        if pending is not None and pending[0] == index:
-            corpus = pending[1].result()
-            metrics.counter("parallel/prefetch/hits")
-        else:
-            if pending is not None:
-                pending[1].cancel()
-                metrics.counter("parallel/prefetch/misses")
-            corpus = self._make_task(index)()
-        metrics.gauge("parallel/prefetch/depth", 0)
-        self._schedule(index + 1)
-        return corpus
-
-    def _schedule(self, index: int) -> None:
-        task = self._make_task(index)  # capture epoch state on this thread
-        self._pending = (
-            index,
-            self._runtime._prefetch_executor().submit(task),
-        )
-        self._runtime._metrics.gauge("parallel/prefetch/depth", 1)
-
-    def reset(self) -> None:
-        """Discard any in-flight build (e.g. after loading a checkpoint)."""
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending[1].cancel()
-        self._runtime._metrics.gauge("parallel/prefetch/depth", 0)

@@ -211,10 +211,8 @@ class CorpusPipeline:
     def epoch(self) -> Iterator[SkipGramBatch]:
         """Sample one corpus and stream it as minibatches.
 
-        The sampling timer measures the epoch's wait for its corpus —
-        under the parallel layer's prefetch this is the *residual* cost
-        after overlap (near zero on a hit), which is exactly what the
-        scaling benchmarks need to attribute.
+        The sampling timer measures the epoch's wait for its corpus,
+        which is what the scaling benchmarks need to attribute.
         """
         with self.metrics.timer(f"{self.metric_prefix}sampling_seconds"):
             corpus = self.sample_corpus()

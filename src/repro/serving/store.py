@@ -16,12 +16,12 @@ File format (little-endian, version 1)::
     matrix  count * dim float32/float64 values, C order
     ids     utf-8 node ids joined by b"\\n", ids_bytes long
 
-The two CRC32s follow the ``TNSPILL2`` pattern (:mod:`repro.walks.spill`):
-they cover the matrix payload and the id table so bit rot is detected as
-:class:`StoreCorruptionError` naming the damaged section — but they are
+Integrity is checked in two tiers.  The header promises an exact byte
+size, so truncation is caught at open time for free.  Two CRC32s, one
+over the matrix payload and one over the id table, catch bit rot as
+:class:`StoreCorruptionError` naming the damaged section; they are
 checked by the explicit :meth:`EmbeddingStore.verify` scan, *not* at
-open time, which is what keeps opening O(ms).  Truncated files are
-caught immediately (the header promises an exact byte size).
+open time, which is what keeps opening O(ms).
 
 Writes go through :func:`repro.graph.io.atomic_writer` in binary mode,
 so a crashed writer never leaves a half-written store where a serving

@@ -47,7 +47,7 @@ class WalkCorpus:
     Attributes:
         matrix: ``(num_walks, length)`` node-index matrix, ``-1`` past
             each walk's end.  The index dtype is ``int64`` by default;
-            ``int32`` matrices (the streaming/spill compact mode for
+            ``int32`` matrices (the streaming compact mode for
             graphs with fewer than ``2**31`` nodes) pass through
             unchanged, halving corpus bytes.
         lengths: ``(num_walks,)`` int64 real length per walk.
@@ -300,8 +300,8 @@ def corpus_index_dtype(num_nodes: int) -> np.dtype:
     """The compact index dtype for a graph of ``num_nodes`` nodes.
 
     ``int32`` whenever every index (and the ``-1`` pad) fits, which
-    halves corpus bytes both in memory and in spill files; ``int64``
-    only for graphs beyond ``2**31 - 1`` nodes.
+    halves corpus bytes; ``int64`` only for graphs beyond
+    ``2**31 - 1`` nodes.
     """
     return np.dtype(np.int32 if num_nodes < 2**31 else np.int64)
 

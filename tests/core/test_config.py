@@ -161,18 +161,7 @@ class TestParallelKnobs:
     def test_defaults_are_serial(self):
         config = TransNConfig()
         assert config.workers == 0
-        assert config.prefetch is None
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             TransNConfig(workers=-1)
-
-    def test_prefetch_needs_workers(self):
-        with pytest.raises(ValueError, match="prefetch"):
-            TransNConfig(prefetch=True, workers=0)
-
-    def test_prefetch_with_workers_ok(self):
-        assert TransNConfig(prefetch=True, workers=1).prefetch is True
-
-    def test_prefetch_off_is_always_valid(self):
-        assert TransNConfig(prefetch=False, workers=0).prefetch is False

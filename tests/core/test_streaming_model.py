@@ -1,4 +1,4 @@
-"""Model-level streaming: dense equivalence, spill replay, float32 mode."""
+"""Model-level streaming: dense equivalence, float32 mode."""
 
 import numpy as np
 import pytest
@@ -50,76 +50,6 @@ class TestStreamingEquivalence:
             )
 
 
-class TestSpill:
-    def test_fresh_spill_matches_no_spill(self, tmp_path):
-        # the recording epoch trains on the same blocks it tees to disk,
-        # so a single-iteration spill run equals plain streaming bit for
-        # bit (later iterations replay instead of regenerating, which
-        # consumes no walk RNG and legitimately diverges)
-        plain = _fit(stream_corpus=True, num_iterations=1)
-        spilled = _fit(
-            stream_corpus=True, num_iterations=1, spill_dir=str(tmp_path)
-        )
-        for edge_type in plain.view_embeddings:
-            np.testing.assert_array_equal(
-                plain.view_embeddings[edge_type],
-                spilled.view_embeddings[edge_type],
-            )
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "view0.spill",
-            "view1.spill",
-        ]
-
-    def test_replay_runs_are_deterministic(self, tmp_path):
-        _fit(stream_corpus=True, spill_dir=str(tmp_path))  # records
-        spill_bytes = {
-            p.name: p.read_bytes() for p in tmp_path.iterdir()
-        }
-        first = _fit(stream_corpus=True, spill_dir=str(tmp_path))
-        second = _fit(stream_corpus=True, spill_dir=str(tmp_path))
-        for edge_type in first.view_embeddings:
-            np.testing.assert_array_equal(
-                first.view_embeddings[edge_type],
-                second.view_embeddings[edge_type],
-            )
-        # replaying never rewrites the spill files
-        assert spill_bytes == {
-            p.name: p.read_bytes() for p in tmp_path.iterdir()
-        }
-
-    def _corrupt_all(self, tmp_path):
-        for path in tmp_path.iterdir():
-            data = bytearray(path.read_bytes())
-            data[-1] ^= 0x01  # rot in the last block's lengths payload
-            path.write_bytes(bytes(data))
-
-    def test_corrupt_spill_degrades_to_regeneration(self, tmp_path):
-        _fit(stream_corpus=True, spill_dir=str(tmp_path))  # records
-        self._corrupt_all(tmp_path)
-        # every view's replay is rejected by CRC before training sees a
-        # walk, so the run falls back to drawing fresh corpora — which
-        # consumes the same RNG stream as spill-less streaming
-        plain = _fit(stream_corpus=True)
-        degraded = _fit(stream_corpus=True, spill_dir=str(tmp_path))
-        for edge_type in plain.view_embeddings:
-            np.testing.assert_array_equal(
-                plain.view_embeddings[edge_type],
-                degraded.view_embeddings[edge_type],
-            )
-
-    def test_corrupt_spill_raises_when_asked(self, tmp_path):
-        from repro.walks import SpillCorruptionError
-
-        _fit(stream_corpus=True, spill_dir=str(tmp_path))
-        self._corrupt_all(tmp_path)
-        with pytest.raises(SpillCorruptionError, match="CRC mismatch"):
-            _fit(
-                stream_corpus=True,
-                spill_dir=str(tmp_path),
-                on_spill_error="raise",
-            )
-
-
 class TestFloat32:
     def test_embeddings_carry_requested_dtype(self):
         model = _fit(dtype="float32", num_iterations=1)
@@ -163,30 +93,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="stream_corpus"):
             TransNConfig(**{**_CONFIG, "corpus_budget_mb": 64.0})
 
-    def test_spill_requires_streaming(self):
-        with pytest.raises(ValueError, match="stream_corpus"):
-            TransNConfig(**{**_CONFIG, "spill_dir": "/tmp/x"})
-
     def test_bad_dtype_rejected(self):
         with pytest.raises(ValueError, match="dtype"):
             TransNConfig(**{**_CONFIG, "dtype": "float16"})
-
-    def test_streaming_conflicts_with_prefetch(self):
-        with pytest.raises(ValueError, match="prefetch"):
-            TransNConfig(
-                **{**_CONFIG, "stream_corpus": True, "prefetch": True}
-            )
-
-    def test_spill_conflicts_with_relation_balancing(self):
-        with pytest.raises(ValueError, match="relation-balanced"):
-            TransNConfig(
-                **{
-                    **_CONFIG,
-                    "stream_corpus": True,
-                    "spill_dir": "/tmp/x",
-                    "walk_policy": "relation-balanced",
-                }
-            )
 
     def test_budget_bytes_property(self):
         cfg = TransNConfig(

@@ -2,8 +2,8 @@
 
 The contract under test: write → mmap-load is bit-exact for any
 (dtype, ids, shape); damaged files fail loudly with named errors
-(truncation at open, bit rot at verify — the TNSPILL2 CRC pattern);
-and the text ↔ binary conversion is lossless in both directions.
+(truncation at open, bit rot at verify); and the text ↔ binary
+conversion is lossless in both directions.
 """
 
 import struct
