@@ -240,9 +240,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 "have no hardened parallel/streaming paths to exercise"
             )
         try:
-            injector = faults.FaultInjector.from_spec(
-                args.chaos, seed=args.seed
-            )
+            injector = faults.FaultInjector.from_spec(args.chaos)
         except ValueError as error:
             raise SystemExit(str(error)) from None
         if (

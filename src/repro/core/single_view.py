@@ -3,15 +3,19 @@
 Per view: sample biased correlated random walks, extract context pairs
 under the Definition-6 window (1 on homo-views, 2 on heter-views), and
 run skip-gram-with-negative-sampling SGD steps on the view-specific
-embedding matrix.  Batching and negative sampling go through the shared
-:class:`repro.engine.CorpusPipeline`.
+embedding matrix.  Batching and negative sampling go through one
+:class:`repro.engine.StreamingCorpusPipeline`; each corpus draw reaches
+it as a stream of walk blocks.  The dense corpus (the default) is the
+single-block case: one block from :meth:`SingleViewTrainer.sample_corpus`.
+``stream_corpus=True`` cuts the draw into blocks of
+:data:`DEFAULT_BLOCK_WALKS` walks, or of the size a byte budget allows.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.engine import CorpusPipeline, StreamingCorpusPipeline
+from repro.engine import StreamingCorpusPipeline
 from repro.engine.observability import NULL_REGISTRY, MetricsRegistry
 from repro.engine.parallel import ParallelRuntime, single_view_seed
 from repro.engine.pipeline import block_walks_for_budget
@@ -65,9 +69,8 @@ class SingleViewTrainer:
         seed / view_code: key the deterministic per-draw seed stream of
             the parallel path (``single_view_seed(seed, view_code, t)``);
             unused when ``parallel`` is ``None``.
-        stream_corpus: consume the corpus as fixed-size walk blocks
-            through a :class:`repro.engine.StreamingCorpusPipeline`
-            instead of materializing it (``docs/performance.md``).
+        stream_corpus: cut each corpus draw into fixed-size walk
+            blocks instead of one dense block (``docs/performance.md``).
         corpus_budget_bytes: hard peak-memory budget for the streaming
             data path; sizes blocks via
             :func:`repro.engine.block_walks_for_budget`.  Without it,
@@ -119,7 +122,6 @@ class SingleViewTrainer:
         self.view_code = view_code
         self._draws = 0  # monotonic corpus-draw clock, checkpointed
         self.stream_corpus = bool(stream_corpus)
-        self.corpus_budget_bytes = corpus_budget_bytes
         if self.stream_corpus:
             self._index_dtype = corpus_index_dtype(view.num_nodes)
             if corpus_budget_bytes is not None:
@@ -133,104 +135,71 @@ class SingleViewTrainer:
                 )
             else:
                 self._block_walks = DEFAULT_BLOCK_WALKS
-            self.pipeline = StreamingCorpusPipeline(
-                sample_blocks=self.sample_blocks,
-                num_nodes=view.num_nodes,
-                window=self.window,
-                num_negatives=num_negatives,
-                batch_size=batch_size,
-                rng=rng,
-                budget_bytes=corpus_budget_bytes,
-                noise_dtype=embeddings.dtype,
-            )
-        else:
-            self.pipeline = CorpusPipeline(
-                sample_corpus=self.sample_corpus,
-                num_nodes=view.num_nodes,
-                window=self.window,
-                num_negatives=num_negatives,
-                batch_size=batch_size,
-                rng=rng,
-            )
+        self.pipeline = StreamingCorpusPipeline(
+            sample_blocks=self.sample_blocks,
+            num_nodes=view.num_nodes,
+            window=self.window,
+            num_negatives=num_negatives,
+            batch_size=batch_size,
+            rng=rng,
+            budget_bytes=corpus_budget_bytes,
+            noise_dtype=embeddings.dtype,
+        )
 
     # ------------------------------------------------------------------
-    def sample_corpus(self) -> WalkCorpus:
-        """One round of walks under the degree-based count policy.
+    def _draw(self, serial, method: str, **kw):
+        """One corpus draw under the view's walk parameters.
 
-        Serial without a runtime (the determinism-golden path); with one,
-        walks fan out over the worker pool under the per-draw seed
-        stream.  The corpus is kept around so :meth:`evaluate_loss` can score
-        monitoring pairs without resampling the whole view.
+        Serial without a runtime (the determinism-golden path): ``serial``
+        walks on the shared trainer RNG.  With one, the runtime's
+        ``method`` fans the walks out over the worker pool under the
+        per-draw seed stream (``docs/parallelism.md``).
         """
+        kw.update(
+            length=self.walk_length,
+            floor=self.walk_floor,
+            cap=self.walk_cap,
+            count_scale=self.walk_scale,
+        )
         if self.parallel is None:
-            self._last_corpus = build_corpus(
-                self.view,
-                self.walker,
-                length=self.walk_length,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                rng=self.rng,
-                count_scale=self.walk_scale,
-            )
-        else:
-            seed_seq = single_view_seed(self.seed, self.view_code, self._draws)
-            self._draws += 1
-            self._last_corpus = self.parallel.build_corpus(
-                self.view,
-                self.policy,
-                length=self.walk_length,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                count_scale=self.walk_scale,
-                seed_seq=seed_seq,
-                label=f"single_view/{self.view.edge_type}",
-            )
-        return self._last_corpus
+            return serial(self.view, self.walker, rng=self.rng, **kw)
+        seed_seq = single_view_seed(self.seed, self.view_code, self._draws)
+        self._draws += 1
+        return getattr(self.parallel, method)(
+            self.view,
+            self.policy,
+            seed_seq=seed_seq,
+            label=f"single_view/{self.view.edge_type}",
+            **kw,
+        )
 
-    # ------------------------------------------------------------------
-    # streaming corpus path
-    # ------------------------------------------------------------------
+    def sample_corpus(self) -> WalkCorpus:
+        """One round of walks under the degree-based count policy."""
+        return self._draw(build_corpus, "build_corpus")
+
     def sample_blocks(self) -> Iterator[WalkCorpus]:
         """One corpus draw as a lazy stream of walk blocks.
 
-        Serial (``parallel=None``): blocks come off the shared trainer
-        RNG in the dense path's exact consumption order, so a draw that
-        fits one block is bit-identical to :meth:`sample_corpus`.  With
-        a runtime, blocks derive from the per-draw seed stream — a
-        deterministic stream of its own (``docs/parallelism.md``).
+        Without ``stream_corpus`` the draw is one block, the dense
+        corpus of :meth:`sample_corpus`.  Otherwise serial blocks come
+        off the shared trainer RNG in the dense path's exact
+        consumption order, so a draw that fits one block is
+        bit-identical to the dense corpus; with a runtime, blocks derive
+        from the per-draw seed stream — a deterministic stream of its
+        own.
         """
-        if self.parallel is None:
-            blocks = stream_walk_corpus(
-                self.view,
-                self.walker,
-                length=self.walk_length,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                rng=self.rng,
-                count_scale=self.walk_scale,
-                block_walks=self._block_walks,
-                index_dtype=self._index_dtype,
-            )
+        if not self.stream_corpus:
+            blocks = (self.sample_corpus(),)
         else:
-            seed_seq = single_view_seed(self.seed, self.view_code, self._draws)
-            self._draws += 1
-            blocks = self.parallel.stream_corpus(
-                self.view,
-                self.policy,
-                length=self.walk_length,
+            blocks = self._draw(
+                stream_walk_corpus,
+                "stream_corpus",
                 block_walks=self._block_walks,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                count_scale=self.walk_scale,
-                seed_seq=seed_seq,
                 index_dtype=self._index_dtype,
-                label=f"single_view/{self.view.edge_type}",
             )
-        return self._track_last(blocks)
-
-    def _track_last(self, blocks) -> Iterator[WalkCorpus]:
-        """Remember the newest block for :meth:`evaluate_loss`."""
         for block in blocks:
+            # kept so evaluate_loss can score monitoring pairs without
+            # resampling the whole view
             self._last_corpus = block
             yield block
 
@@ -290,7 +259,7 @@ class SingleViewTrainer:
 
     def _monitoring_corpus(self, num_pairs: int) -> WalkCorpus:
         """A corpus to draw monitoring pairs from — the last training
-        epoch's corpus when one exists, otherwise a bounded fresh draw.
+        block when one exists, otherwise a bounded fresh draw.
 
         The bounded draw samples just enough walks from random start nodes
         to cover ``num_pairs`` context pairs, instead of resampling the

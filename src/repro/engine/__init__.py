@@ -4,7 +4,8 @@ Every trainer in this repository — TransN's Algorithm 1 and all
 skip-gram-with-negative-sampling baselines — builds its training loop from
 the same three pieces:
 
-- a batch **pipeline** (:class:`CorpusPipeline` for walk corpora,
+- a batch **pipeline** (:class:`StreamingCorpusPipeline` for walk
+  corpora, :class:`CorpusPipeline` its one-block-per-draw adapter,
   :class:`EdgeSamplingPipeline` for LINE-style edge draws) streaming
   (center, context, negatives) minibatches with a reusable noise table;
 - **phases** (:class:`SkipGramPhase`, :class:`CallablePhase`) — named

@@ -6,7 +6,7 @@ that makes that true lives in :mod:`repro.engine.parallel` (shard
 watchdog, in-process retry, pool relaunch) and
 :class:`repro.engine.callbacks.Checkpointer` (a failed save is logged,
 not fatal) — this module provides the *controlled* failures that prove
-it works: a seeded :class:`FaultInjector` with named fault points that
+it works: a :class:`FaultInjector` with named fault points that
 tests and the CLI's ``--chaos`` mode can arm.
 
 Fault points
@@ -39,7 +39,7 @@ Usage
 
 Tests arm a scoped injector::
 
-    injector = FaultInjector(seed=7).arm("worker.crash")
+    injector = FaultInjector().arm("worker.crash")
     with scoped(injector):
         model.fit(...)
     assert injector.fired["worker.crash"] == 1
@@ -97,11 +97,11 @@ class _Arming:
 
 
 class FaultInjector:
-    """Seeded, countable fault arming for the named :data:`FAULT_POINTS`.
+    """Countable fault arming for the named :data:`FAULT_POINTS`.
+
+    Two injectors with the same armings produce identical chaos.
 
     Args:
-        seed: recorded in the ``faults/armed`` event; two injectors
-            with the same armings produce identical chaos.
         hang_seconds: how long a ``worker.hang`` fault sleeps.  Must
             exceed the runtime's ``shard_timeout`` for the watchdog to
             trip; the default is far past any sane deadline.
@@ -110,8 +110,7 @@ class FaultInjector:
     so any thread may probe points.
     """
 
-    def __init__(self, seed: int = 0, hang_seconds: float = 3600.0) -> None:
-        self.seed = int(seed)
+    def __init__(self, hang_seconds: float = 3600.0) -> None:
         self.hang_seconds = float(hang_seconds)
         self._armings: dict[str, _Arming] = {}
         self._lock = threading.Lock()
@@ -124,7 +123,7 @@ class FaultInjector:
         """Arm ``point`` to fire ``times`` times after ``skip`` passes.
 
         Returns ``self`` so armings chain:
-        ``FaultInjector(seed=7).arm("worker.crash").arm("worker.hang")``.
+        ``FaultInjector().arm("worker.crash").arm("worker.hang")``.
         """
         if point not in FAULT_POINTS:
             raise ValueError(
@@ -140,14 +139,14 @@ class FaultInjector:
 
     @classmethod
     def from_spec(
-        cls, spec: str, seed: int = 0, hang_seconds: float = 3600.0
+        cls, spec: str, hang_seconds: float = 3600.0
     ) -> "FaultInjector":
         """Build an injector from a ``--chaos`` spec string.
 
         The spec is a comma-separated list of ``point`` or ``point:times``
         entries, e.g. ``"worker.crash,checkpoint.write_error:2"``.
         """
-        injector = cls(seed=seed, hang_seconds=hang_seconds)
+        injector = cls(hang_seconds=hang_seconds)
         for entry in spec.split(","):
             entry = entry.strip()
             if not entry:
@@ -182,7 +181,6 @@ class FaultInjector:
                 "faults/armed",
                 "fault injection active",
                 points=self.armed_points(),
-                seed=self.seed,
             )
 
     # ------------------------------------------------------------------

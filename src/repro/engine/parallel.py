@@ -672,55 +672,20 @@ class ParallelRuntime:
     ) -> WalkCorpus:
         """Sample one corpus with the start law of ``walks.build_corpus``.
 
-        Starts are computed once in the parent (identical to the serial
-        law), split into ``workers`` contiguous shards, and walked
-        concurrently.  ``seed_seq`` spawns ``workers + 1`` children —
-        shard ``k`` always consumes child ``k`` (even when its shard is
-        empty and never submitted) and the final child shuffles the
-        assembled corpus, so the result depends only on ``seed_seq`` and
-        the worker count, not on scheduling.
+        The dense corpus is the single block of :meth:`_blocks`, seeded
+        by the children ``spawn_key + (k,)`` of ``seed_seq``.  An empty
+        start law gives an empty ``(0, length)`` corpus.
         """
-        if length < 2:
-            raise ValueError(f"walk length must be >= 2, got {length}")
-        graph, is_heter = _resolve_graph(view_or_graph)
-        csr = csr_adjacency(graph)
-        policy = policy.bind(view_or_graph)
-        starts = walk_start_nodes(
-            csr.degrees,
-            policy=policy,
+        for block in self._blocks(
+            view_or_graph, policy, length, None, seed_seq, None, label,
             floor=floor,
             cap=cap,
             walks_per_node_override=walks_per_node_override,
             count_scale=count_scale,
-        )
-        # stateless spawn: SeedSequence.spawn() advances an internal
-        # child counter, so reusing a seed_seq would silently change the
-        # draw — derive children by spawn_key instead (bit-identical to
-        # .spawn() on a fresh sequence)
-        children = [
-            np.random.SeedSequence(
-                entropy=seed_seq.entropy,
-                spawn_key=seed_seq.spawn_key + (k,),
-            )
-            for k in range(self.workers + 1)
-        ]
-        shards = np.array_split(starts, self.workers)
-        results = self._walk_sharded(
-            csr, policy, shards, length, children, is_heter, label
-        )
-        parts = [part for part in results if part is not None]
-        if parts:
-            matrix = np.concatenate([m for m, _ in parts])
-            lengths = np.concatenate([ln for _, ln in parts])
-        else:
-            matrix = np.empty((0, length), dtype=np.int64)
-            lengths = np.empty(0, dtype=np.int64)
-        order = np.random.default_rng(children[-1]).permutation(
-            matrix.shape[0]
-        )
-        self._metrics.counter("parallel/corpus_builds")
-        self._metrics.observe(f"parallel/{label}/walks", matrix.shape[0])
-        return WalkCorpus(matrix[order], lengths[order], length, graph)
+        ):
+            return block
+        graph, _ = _resolve_graph(view_or_graph)
+        return WalkCorpus.from_paths([], length, graph)
 
     def stream_corpus(
         self,
@@ -739,59 +704,82 @@ class ParallelRuntime:
     ):
         """Lazily yield the corpus as blocks of at most ``block_walks``.
 
-        Same start law as :meth:`build_corpus`, but starts are cut into
-        consecutive blocks and each block is sharded across the workers
-        and shuffled independently, so only one block's walks are ever
-        resident.  Block ``b`` derives its seeds from
-        ``spawn_key + (b, k)`` — disjoint from :meth:`build_corpus`'s
-        ``spawn_key + (k,)`` children and independent of every other
-        block — so the stream is deterministic for a fixed
-        ``(seed_seq, block_walks, workers)`` but is *not* the dense
-        build's permutation (same walks, different interleave; the
-        trainer documents this as the parallel-streaming stream).
-
-        ``index_dtype`` casts each block's matrix (int32 compact mode)
-        before it is yielded.
+        Same start law as :meth:`build_corpus`, but block ``b`` is
+        seeded by the children ``spawn_key + (b, k)`` — disjoint from
+        the dense corpus's and independent of every other block — so
+        the stream is deterministic for a fixed ``(seed_seq,
+        block_walks, workers)`` but is *not* the dense build's
+        permutation (same walks, different interleave).  Only one
+        block's walks are ever resident, and an empty start law yields
+        no block.  ``index_dtype`` casts each block's matrix (int32
+        compact mode) before it is yielded.
         """
-        if length < 2:
-            raise ValueError(f"walk length must be >= 2, got {length}")
-        if block_walks < 1:
-            raise ValueError(
-                f"block_walks must be >= 1, got {block_walks}"
-            )
-        graph, is_heter = _resolve_graph(view_or_graph)
-        csr = csr_adjacency(graph)
-        policy = policy.bind(view_or_graph)
-        starts = walk_start_nodes(
-            csr.degrees,
-            policy=policy,
+        return self._blocks(
+            view_or_graph, policy, length, block_walks, seed_seq,
+            index_dtype, label,
             floor=floor,
             cap=cap,
             walks_per_node_override=walks_per_node_override,
             count_scale=count_scale,
         )
+
+    def _blocks(
+        self,
+        view_or_graph: View | HeteroGraph,
+        policy: WalkPolicy,
+        length: int,
+        block_walks: int | None,
+        seed_seq: np.random.SeedSequence,
+        index_dtype: np.dtype | None,
+        label: str,
+        **start_law: Any,
+    ):
+        """The walk-and-shuffle loop behind both corpus entry points.
+
+        Starts are computed once in the parent (identical to the serial
+        law of :func:`~repro.walks.corpus.walk_start_nodes`) and cut
+        into consecutive blocks of at most ``block_walks`` (``None``:
+        one block).  Each block is split into ``workers`` contiguous
+        shards walked concurrently: shard ``k`` always consumes child
+        seed ``k`` (even when its shard is empty and never submitted)
+        and child ``workers`` shuffles the assembled block, so the
+        result depends only on ``seed_seq``, the block size and the
+        worker count, not on scheduling.  The children of block ``b``
+        are keyed ``spawn_key + (b, k)``, or ``spawn_key + (k,)`` for
+        the one dense block.
+        """
+        if length < 2:
+            raise ValueError(f"walk length must be >= 2, got {length}")
+        if block_walks is not None and block_walks < 1:
+            raise ValueError(f"block_walks must be >= 1, got {block_walks}")
+        graph, is_heter = _resolve_graph(view_or_graph)
+        csr = csr_adjacency(graph)
+        policy = policy.bind(view_or_graph)
+        starts = walk_start_nodes(csr.degrees, policy=policy, **start_law)
         self._metrics.counter("parallel/corpus_builds")
         self._metrics.observe(f"parallel/{label}/walks", starts.size)
-        for b, begin in enumerate(range(0, starts.size, block_walks)):
-            block_starts = starts[begin : begin + block_walks]
+        step = block_walks or max(starts.size, 1)
+        for b, begin in enumerate(range(0, starts.size, step)):
+            key = seed_seq.spawn_key + (() if block_walks is None else (b,))
+            # stateless spawn: SeedSequence.spawn() advances an internal
+            # child counter, so reusing a seed_seq would silently change
+            # the draw — derive children by spawn_key instead
+            # (bit-identical to .spawn() on a fresh sequence)
             children = [
                 np.random.SeedSequence(
-                    entropy=seed_seq.entropy,
-                    spawn_key=seed_seq.spawn_key + (b, k),
+                    entropy=seed_seq.entropy, spawn_key=key + (k,)
                 )
                 for k in range(self.workers + 1)
             ]
-            shards = np.array_split(block_starts, self.workers)
+            shards = np.array_split(
+                starts[begin : begin + step], self.workers
+            )
             results = self._walk_sharded(
                 csr, policy, shards, length, children, is_heter, label
             )
             parts = [part for part in results if part is not None]
-            if parts:
-                matrix = np.concatenate([m for m, _ in parts])
-                lengths = np.concatenate([ln for _, ln in parts])
-            else:  # pragma: no cover - only via empty start law
-                matrix = np.empty((0, length), dtype=np.int64)
-                lengths = np.empty(0, dtype=np.int64)
+            matrix = np.concatenate([m for m, _ in parts])
+            lengths = np.concatenate([ln for _, ln in parts])
             order = np.random.default_rng(children[-1]).permutation(
                 matrix.shape[0]
             )

@@ -7,17 +7,17 @@ indices per pair.  The pipelines here own the full walk→pairs→negatives
 (or edge-sample→negatives) chain so trainers only ever see
 :class:`SkipGramBatch` objects:
 
-- :class:`CorpusPipeline` — samples a fresh walk corpus per epoch, extracts
-  Definition-6 context pairs, and draws negatives from a unigram^0.75
-  noise table built once from the first corpus and reused afterwards.
-  Corpora are index-space matrices (:class:`repro.walks.WalkCorpus`), so
-  pair extraction and noise counts are array operations — nothing between
-  walk sampling and the yielded batches leaves NumPy.
-- :class:`StreamingCorpusPipeline` — the out-of-core twin: consumes
-  fixed-size walk *blocks* (:func:`repro.walks.corpus.stream_corpus`)
-  and turns each into batches on the fly under a hard peak-memory
-  budget, with the noise table accumulated incrementally from block
-  frequency counts during the first epoch and frozen afterwards.
+- :class:`StreamingCorpusPipeline` — the one corpus pipeline.  Each
+  epoch consumes one corpus draw as a stream of walk *blocks*
+  (index-space :class:`repro.walks.WalkCorpus` matrices), extracts the
+  Definition-6 context pairs of every block and draws negatives from a
+  unigram^0.75 noise table.  The table's counts accumulate block by
+  block during the first epoch and freeze afterwards; an optional byte
+  budget bounds the per-block data path.  Nothing between walk sampling
+  and the yielded batches leaves NumPy.
+- :class:`CorpusPipeline` — its single-block adapter: each epoch draws
+  one whole corpus from a ``sample_corpus`` callable and streams it as
+  one block, so the noise table is the first corpus's.
 - :class:`EdgeSamplingPipeline` — LINE-style edge sampling: positives are
   weight-proportional edge draws, negatives come from the degree^0.75
   distribution.
@@ -64,172 +64,6 @@ class BatchSource(Protocol):
     """Anything that can stream one epoch of SGNS batches."""
 
     def epoch(self) -> Iterator[SkipGramBatch]: ...
-
-
-class CorpusPipeline:
-    """Walk corpus → context pairs → negative-sampled minibatches.
-
-    Args:
-        sample_corpus: zero-argument callable producing a fresh
-            :class:`WalkCorpus` (walker draws happen inside it, so the
-            caller controls the walk policy and RNG).  The corpus matrix
-            must be in the index space of the trained matrix.
-        num_nodes: number of rows of the trained matrix.
-        window: Definition-6 context window for pair extraction.
-        num_negatives: negatives drawn per positive pair.
-        batch_size: pairs per yielded batch.
-        rng: generator used for the negative draws.
-        noise_power: exponent of the noise distribution (word2vec: 0.75).
-
-    The noise table is built from the *first* sampled corpus and cached:
-    corpus frequencies are stable enough across epochs that rebuilding the
-    table would only add cost (this mirrors the behaviour every trainer in
-    the repo had before the engine existed, keeping training bit-for-bit
-    reproducible across the refactor).
-    """
-
-    def __init__(
-        self,
-        sample_corpus: Callable[[], WalkCorpus],
-        num_nodes: int,
-        window: int,
-        num_negatives: int = 5,
-        batch_size: int = 128,
-        rng: np.random.Generator | None = None,
-        noise_power: float = 0.75,
-    ) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if num_negatives < 1:
-            raise ValueError(
-                f"num_negatives must be >= 1, got {num_negatives}"
-            )
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.sample_corpus = sample_corpus
-        self.num_nodes = num_nodes
-        self.window = window
-        self.num_negatives = num_negatives
-        self.batch_size = batch_size
-        self.rng = rng or np.random.default_rng()
-        self.noise_power = noise_power
-        self._noise: NoiseDistribution | None = None
-        self.metrics: MetricsRegistry = NULL_REGISTRY
-        self.metric_prefix = "pipeline/"
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_policy(
-        cls,
-        view_or_graph,
-        policy,
-        *,
-        length: int,
-        window: int,
-        floor: int = 10,
-        cap: int = 32,
-        walks_per_node: int | None = None,
-        num_negatives: int = 5,
-        batch_size: int = 128,
-        rng: np.random.Generator | None = None,
-        noise_power: float = 0.75,
-    ) -> "CorpusPipeline":
-        """A pipeline walking ``view_or_graph`` with a :class:`WalkPolicy`.
-
-        The one-stop construction path for policy-driven SGNS training:
-        the policy is mounted on a lockstep engine sharing ``rng`` with
-        the negative draws, and each epoch samples a fresh corpus under
-        the degree-based count policy (or a fixed ``walks_per_node``).
-        Policies with restricted starts (metapath) only walk from their
-        admissible nodes.
-        """
-        from repro.walks.batched import LockstepWalker
-        from repro.walks.corpus import build_corpus
-
-        rng = rng or np.random.default_rng()
-        graph = getattr(view_or_graph, "graph", view_or_graph)
-        engine = LockstepWalker(view_or_graph, policy, rng=rng)
-        return cls(
-            sample_corpus=lambda: build_corpus(
-                view_or_graph,
-                engine,
-                length=length,
-                floor=floor,
-                cap=cap,
-                walks_per_node_override=walks_per_node,
-                rng=rng,
-            ),
-            num_nodes=graph.num_nodes,
-            window=window,
-            num_negatives=num_negatives,
-            batch_size=batch_size,
-            rng=rng,
-            noise_power=noise_power,
-        )
-
-    # ------------------------------------------------------------------
-    def pairs(self, corpus: WalkCorpus) -> tuple[np.ndarray, np.ndarray]:
-        """Flatten ``corpus`` into (centers, contexts) index arrays."""
-        return extract_index_pairs(corpus, self.window)
-
-    def noise(self, corpus: WalkCorpus) -> NoiseDistribution:
-        """The (cached) noise table, built on first use from ``corpus``."""
-        if self._noise is None:
-            self._noise = NoiseDistribution(
-                corpus.frequency_counts(self.num_nodes),
-                self.num_nodes,
-                power=self.noise_power,
-            )
-        return self._noise
-
-    # -- checkpoint protocol -------------------------------------------
-    def state_dict(self) -> dict:
-        """The pipeline's only mutable state: the cached noise table.
-
-        The table is built from the *first* corpus and reused for the
-        whole run, so a resumed run must restore it rather than rebuild
-        from its own first (mid-training) corpus — otherwise every
-        negative draw after the resume diverges from the uninterrupted
-        run.  The raw counts are stored; alias-table construction is
-        deterministic, so the rebuilt table is bit-identical.
-        """
-        return {
-            "noise_counts": (
-                None if self._noise is None else self._noise.counts.copy()
-            ),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        counts = state["noise_counts"]
-        if counts is None:
-            self._noise = None
-        else:
-            self._noise = NoiseDistribution(
-                counts, self.num_nodes, power=self.noise_power
-            )
-
-    def epoch(self) -> Iterator[SkipGramBatch]:
-        """Sample one corpus and stream it as minibatches.
-
-        The sampling timer measures the epoch's wait for its corpus,
-        which is what the scaling benchmarks need to attribute.
-        """
-        with self.metrics.timer(f"{self.metric_prefix}sampling_seconds"):
-            corpus = self.sample_corpus()
-        centers, contexts = self.pairs(corpus)
-        if centers.size == 0:
-            return
-        noise = self.noise(corpus)
-        for start in range(0, centers.size, self.batch_size):
-            end = min(start + self.batch_size, centers.size)
-            negatives = noise.sample(
-                self.rng, size=(end - start) * self.num_negatives
-            ).reshape(end - start, self.num_negatives)
-            yield SkipGramBatch(
-                centers=centers[start:end],
-                contexts=contexts[start:end],
-                negatives=negatives,
-            )
 
 
 def pairs_per_walk(length: int, window: int) -> int:
@@ -293,29 +127,36 @@ def block_walks_for_budget(
 
 
 class StreamingCorpusPipeline:
-    """Bounded-memory twin of :class:`CorpusPipeline`: blocks, not corpora.
+    """Walk blocks → context pairs → negative-sampled minibatches.
 
-    Instead of materializing one epoch-sized corpus, each epoch consumes
-    a stream of fixed-size walk blocks (each a small :class:`WalkCorpus`)
-    and turns every block into batches immediately, so peak memory is
-    proportional to the block size — not the graph.  Size blocks with
-    :func:`block_walks_for_budget` to honour a byte budget; the pipeline
-    then *enforces* it, raising if any block's measured data-path bytes
-    exceed ``budget_bytes`` (tracked in :attr:`peak_block_bytes`).
+    Each epoch consumes one corpus draw as a stream of walk blocks (each
+    a :class:`WalkCorpus`) and turns every block into batches
+    immediately, so peak memory is proportional to the block size — not
+    the graph.  Size blocks with :func:`block_walks_for_budget` to honour
+    a byte budget; the pipeline then *enforces* it, raising if any
+    block's measured data-path bytes exceed ``budget_bytes`` (tracked in
+    :attr:`peak_block_bytes`).  A draw of one block is the dense corpus
+    (:class:`CorpusPipeline`).
 
-    Noise-table semantics mirror the dense pipeline's "first corpus"
-    contract at block granularity: during the first epoch the unigram
-    counts accumulate block by block (the table is rebuilt from the
-    running counts as needed), and after the first complete epoch the
-    table freezes — from then on it is exactly the table the dense
-    pipeline would have built from that epoch's full corpus.  With a
-    single block per epoch, batches and negative draws are bit-identical
-    to :class:`CorpusPipeline` given the same RNG.
+    Noise table: during the first epoch the unigram counts accumulate
+    block by block (the table is rebuilt from the running counts as
+    needed), and after the first epoch that saw a walk the table
+    freezes — from then on it is exactly the table built from that
+    epoch's full corpus.  Corpus frequencies are stable enough across
+    epochs that rebuilding the table later would only add cost.
 
     Args:
         sample_blocks: zero-argument callable returning a fresh iterable
             of :class:`WalkCorpus` blocks (one draw of the corpus; walker
             RNG consumption happens lazily as the iterable advances).
+            Block matrices must be in the index space of the trained
+            matrix.
+        num_nodes: number of rows of the trained matrix.
+        window: Definition-6 context window for pair extraction.
+        num_negatives: negatives drawn per positive pair.
+        batch_size: pairs per yielded batch.
+        rng: generator used for the negative draws.
+        noise_power: exponent of the noise distribution (word2vec: 0.75).
         budget_bytes: optional hard peak-memory budget for the per-block
             data path.
         noise_dtype: storage dtype for the retained noise counts
@@ -412,8 +253,9 @@ class StreamingCorpusPipeline:
     def state_dict(self) -> dict:
         """Accumulated noise counts plus the freeze flag.
 
-        Restoring mid-run must reproduce the exact table the
-        uninterrupted run would use; the counts are sufficient because
+        A resumed run must reproduce the exact table the uninterrupted
+        run would use rather than rebuild it from its own first
+        (mid-training) corpus; the counts are sufficient because
         alias-table construction is deterministic.
         """
         seen = self._counts.sum() > 0
@@ -428,29 +270,32 @@ class StreamingCorpusPipeline:
             self._counts = np.zeros(self.num_nodes, dtype=np.float64)
         else:
             self._counts = np.asarray(counts, dtype=np.float64).copy()
-        # tolerate dense-pipeline state (no freeze flag): a dense table
-        # always comes from a completed first corpus, i.e. frozen
+        # checkpoints written before the freeze flag existed hold a
+        # table from a completed first corpus, i.e. frozen
         self._frozen = bool(
             state.get("noise_frozen", counts is not None)
         )
         self._noise = None
 
     # ------------------------------------------------------------------
+    # perfbench/tracing.py patches this name; the loop is in _batches
     def epoch(self) -> Iterator[SkipGramBatch]:
-        """Stream one corpus draw block by block as minibatches.
+        """Stream one corpus draw block by block as minibatches."""
+        return self._batches()
+
+    def _batches(self) -> Iterator[SkipGramBatch]:
+        """The batching loop behind every corpus pipeline's ``epoch``.
 
         The sampling timer accumulates the per-block walker waits, so
-        the epoch's total sampling cost lands in the same metric the
-        dense pipeline reports.
+        the epoch's total sampling cost lands in one metric however the
+        draw is blocked.
         """
         iterator = iter(self.sample_blocks())
-        saw_block = False
         while True:
             with self.metrics.timer(f"{self.metric_prefix}sampling_seconds"):
                 block = next(iterator, None)
             if block is None:
                 break
-            saw_block = True
             if not self._frozen:
                 self._counts += block.frequency_counts(self.num_nodes)
                 self._noise = None
@@ -480,8 +325,99 @@ class StreamingCorpusPipeline:
                     contexts=contexts[start:end],
                     negatives=negatives,
                 )
-        if saw_block:
+        if not self._frozen and self._counts.any():
             self._frozen = True
+
+
+class CorpusPipeline(StreamingCorpusPipeline):
+    """The single-block adapter: one whole corpus per epoch.
+
+    Args:
+        sample_corpus: zero-argument callable producing a fresh
+            :class:`WalkCorpus` (walker draws happen inside it, so the
+            caller controls the walk policy and RNG).
+
+    Everything else is :class:`StreamingCorpusPipeline`'s; the noise
+    table is built from the first corpus that holds a walk.
+    """
+
+    def __init__(
+        self,
+        sample_corpus: Callable[[], WalkCorpus],
+        num_nodes: int,
+        window: int,
+        num_negatives: int = 5,
+        batch_size: int = 128,
+        rng: np.random.Generator | None = None,
+        noise_power: float = 0.75,
+    ) -> None:
+        super().__init__(
+            self._one_block,
+            num_nodes,
+            window,
+            num_negatives=num_negatives,
+            batch_size=batch_size,
+            rng=rng,
+            noise_power=noise_power,
+        )
+        self.sample_corpus = sample_corpus
+
+    def _one_block(self) -> Iterator[WalkCorpus]:
+        yield self.sample_corpus()  # drawn inside the sampling timer
+
+    @classmethod
+    def for_policy(
+        cls,
+        view_or_graph,
+        policy,
+        *,
+        length: int,
+        window: int,
+        floor: int = 10,
+        cap: int = 32,
+        walks_per_node: int | None = None,
+        num_negatives: int = 5,
+        batch_size: int = 128,
+        rng: np.random.Generator | None = None,
+        noise_power: float = 0.75,
+    ) -> "CorpusPipeline":
+        """A pipeline walking ``view_or_graph`` with a :class:`WalkPolicy`.
+
+        The one-stop construction path for policy-driven SGNS training:
+        the policy is mounted on a lockstep engine sharing ``rng`` with
+        the negative draws, and each epoch samples a fresh corpus under
+        the degree-based count policy (or a fixed ``walks_per_node``).
+        Policies with restricted starts (metapath) only walk from their
+        admissible nodes.
+        """
+        from repro.walks.batched import LockstepWalker
+        from repro.walks.corpus import build_corpus
+
+        rng = rng or np.random.default_rng()
+        graph = getattr(view_or_graph, "graph", view_or_graph)
+        engine = LockstepWalker(view_or_graph, policy, rng=rng)
+        return cls(
+            sample_corpus=lambda: build_corpus(
+                view_or_graph,
+                engine,
+                length=length,
+                floor=floor,
+                cap=cap,
+                walks_per_node_override=walks_per_node,
+                rng=rng,
+            ),
+            num_nodes=graph.num_nodes,
+            window=window,
+            num_negatives=num_negatives,
+            batch_size=batch_size,
+            rng=rng,
+            noise_power=noise_power,
+        )
+
+    # not inherited: perfbench/tracing.py patches each class's own epoch
+    def epoch(self) -> Iterator[SkipGramBatch]:
+        """Sample one corpus and stream it as minibatches."""
+        return self._batches()
 
 
 class EdgeSamplingPipeline:

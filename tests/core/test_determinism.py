@@ -31,6 +31,11 @@ The ``workers=2`` goldens pin the parallel path's per-draw seed stream
 parallel path still double-buffered corpus builds in a background
 thread; builds now run on demand with the same seeds, and the goldens
 did not move.
+
+The two float32 goldens pin the serial dense float32 path and the
+``workers=2`` streaming float32 path.  They were captured before the
+dense corpus became the one-block case of the streaming pipeline, and
+did not move when it did.
 """
 
 import numpy as np
@@ -70,10 +75,28 @@ _GOLDEN_WORKERS2 = {
 }
 _GOLDEN_WORKERS2_TOTAL_SUM = -1.3903952138768516
 
+# ``dtype="float32"``, serial dense corpus
+_GOLDEN_FLOAT32 = {
+    "i0": [0.1581222, 0.17658576, -0.01944978, 0.08175047],
+    "i1": [0.12356167, 0.16665539, 0.10964903, 0.13828984],
+    "i2": [0.17412919, 0.21436542, 0.0064695, -0.02575085],
+    "i3": [-0.02780268, 0.18282065, 0.14921638, 0.20450626],
+}
+_GOLDEN_FLOAT32_TOTAL_SUM = 0.06459153443574905
 
-def _run(workers: int = 0) -> dict:
+# ``workers=2, stream_corpus=True, dtype="float32"``
+_GOLDEN_WORKERS2_STREAM_FLOAT32 = {
+    "i0": [-0.01012179, 0.19507715, 0.00331201, 0.10639858],
+    "i1": [0.11505392, 0.16951784, 0.03754485, 0.15427366],
+    "i2": [-0.06935993, 0.20775479, -0.03464847, 0.07813883],
+    "i3": [0.10321753, 0.16276002, 0.10406541, 0.180231],
+}
+_GOLDEN_WORKERS2_STREAM_FLOAT32_TOTAL_SUM = -0.7544991225004196
+
+
+def _run(**overrides) -> dict:
     graph, _ = two_view_toy()
-    model = TransN(graph, TransNConfig(**_CONFIG, workers=workers))
+    model = TransN(graph, TransNConfig(**_CONFIG, **overrides))
     model.fit()
     if model._parallel is not None:
         model._parallel.shutdown()
@@ -113,4 +136,16 @@ class TestSeedDeterminism:
     def test_workers2_golden_values(self):
         _assert_golden(
             _run(workers=2), _GOLDEN_WORKERS2, _GOLDEN_WORKERS2_TOTAL_SUM
+        )
+
+    def test_float32_golden_values(self):
+        _assert_golden(
+            _run(dtype="float32"), _GOLDEN_FLOAT32, _GOLDEN_FLOAT32_TOTAL_SUM
+        )
+
+    def test_workers2_stream_float32_golden_values(self):
+        _assert_golden(
+            _run(workers=2, stream_corpus=True, dtype="float32"),
+            _GOLDEN_WORKERS2_STREAM_FLOAT32,
+            _GOLDEN_WORKERS2_STREAM_FLOAT32_TOTAL_SUM,
         )

@@ -159,7 +159,7 @@ class TestInjector:
 class TestWorkerFaults:
     def test_sigkilled_worker_bit_identical(self, toy_view, expected_corpus):
         metrics = MetricsRegistry()
-        injector = FaultInjector(seed=7).arm("worker.crash")
+        injector = FaultInjector().arm("worker.crash")
         injector.bind_metrics(metrics)
         with scoped(injector):
             with ParallelRuntime(
@@ -179,7 +179,7 @@ class TestWorkerFaults:
         self, toy_view, expected_corpus
     ):
         metrics = MetricsRegistry()
-        injector = FaultInjector(seed=7).arm("worker.exception")
+        injector = FaultInjector().arm("worker.exception")
         with scoped(injector):
             with ParallelRuntime(2, metrics=metrics) as rt:
                 corpus = _chaos_build(toy_view, rt)
@@ -192,7 +192,7 @@ class TestWorkerFaults:
 
     def test_hung_worker_trips_watchdog(self, toy_view, expected_corpus):
         metrics = MetricsRegistry()
-        injector = FaultInjector(seed=7, hang_seconds=120.0).arm("worker.hang")
+        injector = FaultInjector(hang_seconds=120.0).arm("worker.hang")
         with scoped(injector):
             with ParallelRuntime(
                 2,
@@ -208,7 +208,7 @@ class TestWorkerFaults:
 
     def test_exhausted_relaunch_budget_demotes(self, toy_view, expected_corpus):
         metrics = MetricsRegistry()
-        injector = FaultInjector(seed=7).arm("worker.crash")
+        injector = FaultInjector().arm("worker.crash")
         with scoped(injector):
             with ParallelRuntime(
                 2,
@@ -291,7 +291,7 @@ class TestModelChaos:
     def test_chaos_fit_matches_clean_fit(self, tmp_path):
         clean = _fit(stream_corpus=True)
         injector = (
-            FaultInjector(seed=7)
+            FaultInjector()
             .arm("worker.crash")
             .arm("checkpoint.write_error")
         )
@@ -306,7 +306,7 @@ class TestModelChaos:
 
     def test_worker_exception_fit_matches_clean_fit(self):
         clean = _fit()
-        injector = FaultInjector(seed=7).arm("worker.exception")
+        injector = FaultInjector().arm("worker.exception")
         with scoped(injector):
             chaotic = _fit()
         assert injector.fired["worker.exception"] == 1

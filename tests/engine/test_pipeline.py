@@ -67,9 +67,14 @@ class TestCorpusPipeline:
 
     def test_noise_table_cached_across_epochs(self, rng):
         pipeline = _fixed_corpus_pipeline(rng)
-        corpus = pipeline.sample_corpus()
-        first = pipeline.noise(corpus)
-        assert pipeline.noise(corpus) is first
+        # before any epoch the table is transient: nothing is cached
+        pipeline.noise(pipeline.sample_corpus())
+        assert pipeline._noise is None
+        list(pipeline.epoch())
+        first = pipeline._noise
+        assert first is not None
+        assert pipeline.noise(pipeline.sample_corpus()) is first
+        # epoch 2 samples from the table epoch 1 built
         list(pipeline.epoch())
         assert pipeline._noise is first
 

@@ -159,3 +159,72 @@ class TestNoiseSchedule:
         streaming = _streaming(view, 7)
         streaming.load_state_dict(dense.state_dict())
         assert streaming._frozen
+
+
+class TestEmptyStartLaw:
+    """``walks_per_node_override=0`` leaves no start node: every corpus
+    entry point gives an empty corpus or no block at all."""
+
+    def test_serial_build_is_empty_and_stream_has_no_block(self):
+        view = _view()
+        walker = LockstepWalker(
+            view, make_policy("biased"), rng=np.random.default_rng(0)
+        )
+        kw = dict(length=8, walks_per_node_override=0)
+        corpus = build_corpus(
+            view, walker, rng=np.random.default_rng(1), **kw
+        )
+        assert corpus.matrix.shape == (0, 8)
+        assert corpus.matrix.dtype == np.int64
+        assert corpus.lengths.shape == (0,)
+        blocks = stream_corpus(
+            view, walker, rng=np.random.default_rng(1), block_walks=4, **kw
+        )
+        assert list(blocks) == []
+        dense_stream = stream_corpus(
+            view, walker, rng=np.random.default_rng(1), **kw
+        )
+        assert list(dense_stream) == []
+
+    def test_parallel_build_is_empty_and_stream_has_no_block(self):
+        from repro.engine.parallel import ParallelRuntime, single_view_seed
+
+        view = _view()
+        kw = dict(
+            length=8,
+            walks_per_node_override=0,
+            seed_seq=single_view_seed(7, 0, 0),
+        )
+        with ParallelRuntime(2) as runtime:
+            corpus = runtime.build_corpus(view, make_policy("biased"), **kw)
+            assert corpus.matrix.shape == (0, 8)
+            assert corpus.lengths.shape == (0,)
+            blocks = runtime.stream_corpus(
+                view, make_policy("biased"), block_walks=4, **kw
+            )
+            assert list(blocks) == []
+
+    def test_pipelines_yield_nothing_and_stay_unfrozen(self):
+        view = _view()
+        rng = np.random.default_rng(0)
+        walker = LockstepWalker(view, make_policy("biased"), rng=rng)
+        kw = dict(length=8, walks_per_node_override=0, rng=rng)
+        streaming = StreamingCorpusPipeline(
+            sample_blocks=lambda: stream_corpus(
+                view, walker, block_walks=4, **kw
+            ),
+            num_nodes=view.num_nodes,
+            window=1,
+            rng=rng,
+        )
+        dense = CorpusPipeline(
+            sample_corpus=lambda: build_corpus(view, walker, **kw),
+            num_nodes=view.num_nodes,
+            window=1,
+            rng=rng,
+        )
+        for pipeline in (streaming, dense):
+            for _ in range(2):
+                assert list(pipeline.epoch()) == []
+            assert pipeline.state_dict()["noise_counts"] is None
+            assert not pipeline._frozen
