@@ -36,12 +36,14 @@ meaningful and its output should never be checked in.
 
 import argparse
 import json
+import os
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")):
@@ -331,6 +333,15 @@ def main(argv: list[str] | None = None) -> None:
         "batch_size": BATCH_SIZE,
         "num_negatives": NUM_NEGATIVES,
         "budget_mb": budget_mb,
+        "machine": {
+            # the context every peak and time below was measured in
+            "cpu_count": os.cpu_count(),
+            "sched_getaffinity": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else None,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "memory_vs_edges": {
             "edges": [r["edges"] for r in results],
             "dense_peak_bytes": [r["dense"]["peak_bytes"] for r in results],

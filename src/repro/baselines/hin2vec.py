@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph.heterograph import HeteroGraph, NodeId
+from repro.nn.optim import RowSGD
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
 
@@ -190,6 +191,8 @@ class HIN2Vec(EmbeddingMethod):
                 dtype=np.int64,
             )
             batches.append((xs, corrupted, rels, 0.0))
+        node_sgd = RowSGD(node_emb, self.lr)
+        relation_sgd = RowSGD(relation_emb, self.lr)
         for bx, by, br, target in batches:
             wx = node_emb[bx]
             wy = node_emb[by]
@@ -201,18 +204,6 @@ class HIN2Vec(EmbeddingMethod):
             grad_x = dscore * wy * fr
             grad_y = dscore * wx * fr
             grad_r = dscore * wx * wy * fr * (1.0 - fr)
-            _mean_update(node_emb, bx, grad_x, self.lr)
-            _mean_update(node_emb, by, grad_y, self.lr)
-            _mean_update(relation_emb, br, grad_r, self.lr)
-
-
-def _mean_update(
-    matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray, lr: float
-) -> None:
-    unique, inverse, counts = np.unique(
-        rows, return_inverse=True, return_counts=True
-    )
-    aggregated = np.zeros((unique.size, matrix.shape[1]))
-    np.add.at(aggregated, inverse, grads)
-    aggregated /= counts[:, None]
-    matrix[unique] -= lr * aggregated
+            node_sgd.update(bx, grad_x)
+            node_sgd.update(by, grad_y)
+            relation_sgd.update(br, grad_r)

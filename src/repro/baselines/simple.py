@@ -23,7 +23,8 @@ import numpy as np
 from repro.graph.heterograph import HeteroGraph
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
-from repro.baselines.hin2vec import _mean_update, _sigmoid
+from repro.baselines.hin2vec import _sigmoid
+from repro.nn.optim import RowSGD
 
 
 class SimplE(EmbeddingMethod):
@@ -135,9 +136,11 @@ class SimplE(EmbeddingMethod):
         grad_vr = dscore * hu * tv + self.l2 * vr
         grad_vr_inv = dscore * hv * tu + self.l2 * vr_inv
 
-        _mean_update(head, np.concatenate([us, vs]),
-                     np.concatenate([grad_hu, grad_hv]), self.lr)
-        _mean_update(tail, np.concatenate([vs, us]),
-                     np.concatenate([grad_tv, grad_tu]), self.lr)
-        _mean_update(rel_fwd, rs, grad_vr, self.lr)
-        _mean_update(rel_inv, rs, grad_vr_inv, self.lr)
+        RowSGD(head, self.lr).update(
+            np.concatenate([us, vs]), np.concatenate([grad_hu, grad_hv])
+        )
+        RowSGD(tail, self.lr).update(
+            np.concatenate([vs, us]), np.concatenate([grad_tv, grad_tu])
+        )
+        RowSGD(rel_fwd, self.lr).update(rs, grad_vr)
+        RowSGD(rel_inv, self.lr).update(rs, grad_vr_inv)

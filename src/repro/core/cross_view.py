@@ -288,7 +288,27 @@ class CrossViewTrainer:
         """
         a_src = Tensor(source_emb[src_rows], requires_grad=True)
         a_tgt = Tensor(target_emb[tgt_rows], requires_grad=True)
+        # the autograd graph, with a gradient on every node, dies when
+        # _backpropagate returns: before the optimizer steps, so
+        # concurrent pair waves do not each hold their peak through them
+        losses = self._backpropagate(a_src, a_tgt, forward, backward)
+        self._translator_optim.step()
+        if a_src.grad is not None:
+            source_adam.update(
+                src_rows.reshape(-1), a_src.grad.reshape(-1, self.dim)
+            )
+        if a_tgt.grad is not None:
+            target_adam.update(
+                tgt_rows.reshape(-1), a_tgt.grad.reshape(-1, self.dim)
+            )
+        return losses
 
+    def _backpropagate(
+        self, a_src: Tensor, a_tgt: Tensor, forward, backward
+    ) -> tuple[float, float]:
+        """Build the step's losses and back-propagate them into the
+        translators' and the gathered rows' gradients; returns the
+        (translation, reconstruction) loss values."""
         translated = forward(a_src)
         losses = []
         t_loss_value = 0.0
@@ -316,15 +336,6 @@ class CrossViewTrainer:
                 gradient_norm(
                     param.grad for param in self._translator_optim.parameters
                 ),
-            )
-        self._translator_optim.step()
-        if a_src.grad is not None:
-            source_adam.update(
-                src_rows.reshape(-1), a_src.grad.reshape(-1, self.dim)
-            )
-        if a_tgt.grad is not None:
-            target_adam.update(
-                tgt_rows.reshape(-1), a_tgt.grad.reshape(-1, self.dim)
             )
         return t_loss_value, r_loss_value
 

@@ -116,7 +116,6 @@ class SingleViewTrainer:
         self.walk_scale = 1.0  # RelationBalancer's per-view share knob
         self.trainer = SkipGramTrainer(embeddings, rng=rng, optimizer=optimizer)
         self.metrics: MetricsRegistry = NULL_REGISTRY
-        self._last_corpus: WalkCorpus | None = None
         self.parallel = parallel
         self.seed = seed
         self.view_code = view_code
@@ -189,19 +188,14 @@ class SingleViewTrainer:
         own.
         """
         if not self.stream_corpus:
-            blocks = (self.sample_corpus(),)
-        else:
-            blocks = self._draw(
-                stream_walk_corpus,
-                "stream_corpus",
-                block_walks=self._block_walks,
-                index_dtype=self._index_dtype,
-            )
-        for block in blocks:
-            # kept so evaluate_loss can score monitoring pairs without
-            # resampling the whole view
-            self._last_corpus = block
-            yield block
+            yield self.sample_corpus()
+            return
+        yield from self._draw(
+            stream_walk_corpus,
+            "stream_corpus",
+            block_walks=self._block_walks,
+            index_dtype=self._index_dtype,
+        )
 
     def bind_metrics(self, metrics: MetricsRegistry) -> None:
         """Route this view's metrics (and the inner SGNS trainer's
@@ -238,8 +232,7 @@ class SingleViewTrainer:
         context matrix + optimizer moments, and the pipeline's cached
         noise table.  The view-specific embedding matrix is excluded —
         the model owns it (it is shared with the cross-view trainer) and
-        snapshots it once.  The cached monitoring corpus is transient and
-        deliberately not saved."""
+        snapshots it once."""
         return {
             "skipgram": self.trainer.state_dict(),
             "pipeline": self.pipeline.state_dict(),
@@ -255,19 +248,17 @@ class SingleViewTrainer:
         # pre-parallel checkpoints lack the draw clock; 0 matches their
         # serial path, which never reads it
         self._draws = int(state.get("corpus_draws", 0))
-        self._last_corpus = None
 
     def _monitoring_corpus(self, num_pairs: int) -> WalkCorpus:
-        """A corpus to draw monitoring pairs from — the last training
-        block when one exists, otherwise a bounded fresh draw.
+        """A bounded fresh corpus to draw monitoring pairs from.
 
-        The bounded draw samples just enough walks from random start nodes
-        to cover ``num_pairs`` context pairs, instead of resampling the
-        entire view under the degree-based count policy (which on large
-        views costs as much as a training epoch's sampling).
+        It samples just enough walks from random start nodes to cover
+        ``num_pairs`` context pairs, instead of resampling the entire
+        view under the degree-based count policy (which on large views
+        costs as much as a training epoch's sampling).  No training block
+        is kept for it: holding one would keep the previous draw's walk
+        matrix alive while the next draw is walked.
         """
-        if self._last_corpus is not None:
-            return self._last_corpus
         num_walks = max(4, -(-num_pairs // self.walk_length))
         starts = self.rng.integers(
             self.view.num_nodes, size=num_walks

@@ -10,9 +10,12 @@ Two families live here:
   updates of the common nodes' embeddings.
 
 Row optimizers share the :class:`RowOptimizer` interface
-(``update(rows, grads, lr=None)``), so trainers can swap SGD for Adam
-without changing their update code; :func:`make_row_optimizer` resolves a
-name to an instance.
+(``update(rows, grads, lr=None, *, weights=None, index=None)``), so
+trainers can swap SGD for Adam without changing their update code;
+:func:`make_row_optimizer` resolves a name to an instance.  Both sum the
+per-occurrence gradients of a repeated row with one CSR segment sum
+(:func:`_segment_sum`), bit-identical to an unbuffered scatter-add in
+occurrence order.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 from repro.autograd import Tensor
 
@@ -193,6 +197,52 @@ class Adam(Optimizer):
 # ----------------------------------------------------------------------
 # sparse row optimizers
 # ----------------------------------------------------------------------
+def _segment_sum(
+    rows: np.ndarray,
+    grads: np.ndarray,
+    dtype: np.dtype,
+    weights: np.ndarray | None = None,
+    index: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum per-occurrence gradients by row: ``(unique, counts, sums)``.
+
+    Occurrence ``j`` contributes ``grads[j]``, or ``weights[j] *
+    grads[index[j]]`` in the factored form; sums are in ``dtype``.  A
+    stable argsort of ``rows`` groups the occurrences; row ``u`` of the
+    CSR matrix ``S`` lists ``u``'s occurrences in occurrence order, and
+    ``sums = S @ grads``.  scipy's ``csr_matvecs`` accumulates ``y += a *
+    x`` from zero in the stored order, which is the order of an
+    unbuffered scatter-add (numpy's ``add.at`` ufunc method), so the sums
+    are bit-identical to it: ``a * x`` is exact for ``a = 1``, and in the
+    factored form it is the product a caller would have formed itself.
+
+    ``S`` is built straight from ``(data, indices, indptr)``: going
+    through COO would ``sum_duplicates`` and reorder the additions.  Its
+    index arrays are int32, so scipy skips its per-call index-dtype scan.
+    """
+    if (weights is None) != (index is None):
+        raise ValueError("weights and index must be given together")
+    rows = np.asarray(rows).reshape(-1)
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    head = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    indptr = np.append(np.flatnonzero(head), ordered.size).astype(np.int32)
+    unique = ordered[indptr[:-1]]
+    grads = np.asarray(grads, dtype=dtype)
+    if weights is None:
+        data = np.ones(ordered.size, dtype=dtype)
+        columns = order
+    else:
+        data = np.asarray(weights, dtype=dtype).reshape(-1)[order]
+        columns = np.asarray(index).reshape(-1)[order]
+    segments = sparse.csr_matrix(
+        (data, columns.astype(np.int32), indptr),
+        shape=(unique.size, grads.shape[0]),
+    )
+    return unique, np.diff(indptr).astype(np.int64), segments @ grads
+
+
 class RowOptimizer:
     """Optimizer over an embedding matrix receiving sparse row gradients.
 
@@ -201,6 +251,11 @@ class RowOptimizer:
     repeats are aggregated is subclass-specific).  ``lr`` passed to
     :meth:`update` overrides the constructor default for that step, which
     is how learning-rate schedules reach the hot loop.
+
+    The keyword form ``update(rows, grads, weights=w, index=i)`` takes
+    factored gradients: occurrence ``j``'s gradient is ``w[j] *
+    grads[i[j]]``, so a caller whose occurrences share a few source rows
+    (the SGNS context update) never materializes one row per occurrence.
     """
 
     def __init__(self, matrix: np.ndarray, lr: float) -> None:
@@ -212,7 +267,13 @@ class RowOptimizer:
         self.lr = lr
 
     def update(
-        self, rows: np.ndarray, grads: np.ndarray, lr: float | None = None
+        self,
+        rows: np.ndarray,
+        grads: np.ndarray,
+        lr: float | None = None,
+        *,
+        weights: np.ndarray | None = None,
+        index: np.ndarray | None = None,
     ) -> None:
         raise NotImplementedError
 
@@ -237,16 +298,18 @@ class RowSGD(RowOptimizer):
     """
 
     def update(
-        self, rows: np.ndarray, grads: np.ndarray, lr: float | None = None
+        self,
+        rows: np.ndarray,
+        grads: np.ndarray,
+        lr: float | None = None,
+        *,
+        weights: np.ndarray | None = None,
+        index: np.ndarray | None = None,
     ) -> None:
         step = self.lr if lr is None else lr
-        unique, inverse, counts = np.unique(
-            rows, return_inverse=True, return_counts=True
+        unique, counts, aggregated = _segment_sum(
+            rows, grads, self.matrix.dtype, weights, index
         )
-        aggregated = np.zeros(
-            (unique.size, self.matrix.shape[1]), dtype=self.matrix.dtype
-        )
-        np.add.at(aggregated, inverse, grads)
         aggregated /= counts[:, None]
         self.matrix[unique] -= step * aggregated
 
@@ -285,15 +348,18 @@ class RowAdam(RowOptimizer):
         self._t = 0
 
     def update(
-        self, rows: np.ndarray, grads: np.ndarray, lr: float | None = None
+        self,
+        rows: np.ndarray,
+        grads: np.ndarray,
+        lr: float | None = None,
+        *,
+        weights: np.ndarray | None = None,
+        index: np.ndarray | None = None,
     ) -> None:
         step = self.lr if lr is None else lr
-        rows = np.asarray(rows, dtype=np.int64)
-        unique, inverse = np.unique(rows, return_inverse=True)
-        aggregated = np.zeros(
-            (unique.size, self.matrix.shape[1]), dtype=self.matrix.dtype
+        unique, _, aggregated = _segment_sum(
+            rows, grads, self.matrix.dtype, weights, index
         )
-        np.add.at(aggregated, inverse, grads)
         self._t += 1
         m = self._m[unique]
         v = self._v[unique]

@@ -17,6 +17,16 @@ dozens of times per batch; summing would multiply the effective learning
 rate by that count and demonstrably diverges, while the mean matches the
 sequential word2vec update in expectation.  ``optimizer="adam"`` swaps in
 :class:`~repro.nn.optim.RowAdam` for both matrices.
+
+A batch makes two row updates.  The input update takes one gradient row
+per center.  The context update covers the positive contexts and the
+negatives together, so a node playing both roles moves once.  Every
+gradient on that side is a scalar times its pair's ``w_c`` (``g_pos``
+for the context, ``g_neg[:, k]`` for negative ``k``), so it goes to the
+optimizer factored, as weights plus an index into ``w_c``.  The
+``(B, m, d)`` negative-gradient tensor is never built; the optimizer's
+segment sum forms the same products and adds them in the same order,
+so the update is bit-identical to summing the materialized rows.
 """
 
 from __future__ import annotations
@@ -117,17 +127,21 @@ class SkipGramTrainer:
         g_neg = neg_sig  # (B, m)
 
         grad_center = g_pos[:, None] * w_o + np.einsum("bm,bmd->bd", g_neg, w_n)
-        grad_context = g_pos[:, None] * w_c
-        grad_negatives = g_neg[..., None] * w_c[:, None, :]
 
         self.input_optimizer.update(centers, grad_center, lr=lr)
         # positive-context and negative rows both live in self.context;
-        # aggregate them together so a node playing both roles moves once
-        out_rows = np.concatenate([contexts, negatives.reshape(-1)])
-        out_grads = np.concatenate(
-            [grad_context, grad_negatives.reshape(-1, self.dim)]
+        # aggregate them together so a node playing both roles moves once.
+        # Each of their gradients is a scalar times its pair's w_c, so
+        # they go factored (see the module docstring)
+        batch, m = negatives.shape
+        pair = np.arange(batch)
+        self.context_optimizer.update(
+            np.concatenate([contexts, negatives.reshape(-1)]),
+            w_c,
+            lr=lr,
+            weights=np.concatenate([g_pos, g_neg.reshape(-1)]),
+            index=np.concatenate([pair, np.repeat(pair, m)]),
         )
-        self.context_optimizer.update(out_rows, out_grads, lr=lr)
 
         eps = 1e-12
         loss = -np.log(pos_sig + eps) - np.log(1.0 - neg_sig + eps).sum(axis=1)

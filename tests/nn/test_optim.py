@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import Tensor
-from repro.nn import SGD, Adam
+from repro.nn import SGD, Adam, RowAdam, RowSGD
 
 
 def quadratic_param(start):
@@ -124,3 +126,120 @@ class TestGradientNorm:
         upcast = float(np.sqrt(np.dot(grad.astype(np.float64), grad.astype(np.float64))))
         assert gradient_norm([grad]) == in_dtype
         assert gradient_norm([grad]) != upcast
+
+
+# ----------------------------------------------------------------------
+# sparse row optimizers against the np.unique + np.add.at formula
+# ----------------------------------------------------------------------
+def _add_at_sum(matrix, rows, grads):
+    """The reference aggregation: per-row sums in occurrence order."""
+    unique, inverse, counts = np.unique(
+        rows, return_inverse=True, return_counts=True
+    )
+    aggregated = np.zeros((unique.size, matrix.shape[1]), dtype=matrix.dtype)
+    np.add.at(aggregated, inverse, grads)
+    return unique, counts, aggregated
+
+
+class OracleRowSGD:
+    """``RowSGD.update`` written with ``np.unique`` + ``np.add.at``."""
+
+    def __init__(self, matrix, lr):
+        self.matrix, self.lr = matrix, lr
+
+    def update(self, rows, grads, lr=None):
+        step = self.lr if lr is None else lr
+        unique, counts, aggregated = _add_at_sum(self.matrix, rows, grads)
+        aggregated /= counts[:, None]
+        self.matrix[unique] -= step * aggregated
+
+
+class OracleRowAdam:
+    """``RowAdam.update`` written with ``np.unique`` + ``np.add.at``."""
+
+    def __init__(self, matrix, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.matrix, self.lr = matrix, lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self._m = np.zeros_like(matrix)
+        self._v = np.zeros_like(matrix)
+        self._t = 0
+
+    def update(self, rows, grads, lr=None):
+        step = self.lr if lr is None else lr
+        unique, _, aggregated = _add_at_sum(self.matrix, rows, grads)
+        self._t += 1
+        m = self.beta1 * self._m[unique] + (1.0 - self.beta1) * aggregated
+        v = self.beta2 * self._v[unique] + (1.0 - self.beta2) * aggregated**2
+        self._m[unique] = m
+        self._v[unique] = v
+        m_hat = m / (1.0 - self.beta1**self._t)
+        v_hat = v / (1.0 - self.beta2**self._t)
+        self.matrix[unique] -= step * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+ROW_OPTIMIZERS = {"sgd": (RowSGD, OracleRowSGD), "adam": (RowAdam, OracleRowAdam)}
+
+
+def _spread(rng, shape, dtype):
+    """Values over several decades, so the summation order shows in the
+    last bits of a row that repeats."""
+    scale = 10.0 ** rng.integers(-3, 4, size=shape)
+    return (rng.standard_normal(shape) * scale).astype(dtype)
+
+
+class TestRowOptimizersMatchAddAt:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(ROW_OPTIMIZERS)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        row_dtype=st.sampled_from([np.int32, np.int64]),
+        num_rows=st.integers(1, 6),
+        num_occurrences=st.integers(0, 80),
+        num_sources=st.integers(1, 4),
+        dim=st.integers(1, 5),
+        factored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(
+        self, kind, dtype, row_dtype, num_rows, num_occurrences,
+        num_sources, dim, factored, seed,
+    ):
+        """Plain and factored updates equal the add.at formula bit for
+        bit, over a few steps (Adam's moments carry across them).  Few
+        rows and sources make rows, and (row, source) pairs, repeat."""
+        rng = np.random.default_rng(seed)
+        start = _spread(rng, (num_rows, dim), dtype)
+        actual, expected = start.copy(), start.copy()
+        cls, oracle_cls = ROW_OPTIMIZERS[kind]
+        optimizer, oracle = cls(actual, lr=0.05), oracle_cls(expected, lr=0.05)
+        for _ in range(3):
+            rows = rng.integers(num_rows, size=num_occurrences).astype(row_dtype)
+            if factored:
+                sources = _spread(rng, (num_sources, dim), dtype)
+                weights = _spread(rng, num_occurrences, dtype)
+                index = rng.integers(num_sources, size=num_occurrences)
+                optimizer.update(rows, sources, weights=weights, index=index)
+                oracle.update(rows, weights[:, None] * sources[index])
+            else:
+                grads = _spread(rng, (num_occurrences, dim), dtype)
+                optimizer.update(rows, grads)
+                oracle.update(rows, grads)
+            assert actual.dtype == dtype
+            assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("kind", sorted(ROW_OPTIMIZERS))
+    def test_empty_batch_leaves_matrix(self, kind):
+        matrix = np.arange(6.0).reshape(3, 2)
+        cls, _ = ROW_OPTIMIZERS[kind]
+        cls(matrix, lr=0.1).update(np.array([], dtype=np.int64), np.zeros((0, 2)))
+        assert np.array_equal(matrix, np.arange(6.0).reshape(3, 2))
+
+    @pytest.mark.parametrize("kind", sorted(ROW_OPTIMIZERS))
+    def test_factored_form_needs_weights_and_index(self, kind):
+        cls, _ = ROW_OPTIMIZERS[kind]
+        optimizer = cls(np.zeros((3, 2)), lr=0.1)
+        with pytest.raises(ValueError):
+            optimizer.update(np.array([0, 1]), np.ones((1, 2)), weights=np.ones(2))
+        with pytest.raises(ValueError):
+            optimizer.update(np.array([0, 1]), np.ones((1, 2)), index=np.zeros(2, int))

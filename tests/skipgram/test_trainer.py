@@ -6,6 +6,7 @@ import pytest
 from repro.nn.optim import RowSGD
 from repro.skipgram import SkipGramTrainer
 from repro.skipgram.trainer import _sigmoid
+from tests.nn.test_optim import ROW_OPTIMIZERS
 
 
 class TestSigmoid:
@@ -111,3 +112,45 @@ class TestTrainer:
             np.array([0]), np.array([1]), np.array([[2, 3]]), lr=0.5
         )
         assert trainer.embeddings is view
+
+
+def _materialized_step(input_opt, context_opt, centers, contexts, negatives, lr):
+    """The SGNS step with every context-side gradient row built out,
+    (B, m, d) negatives included, and one concatenated update."""
+    emb, ctx = input_opt.matrix, context_opt.matrix
+    w_c, w_o, w_n = emb[centers], ctx[contexts], ctx[negatives]
+    g_pos = _sigmoid(np.einsum("bd,bd->b", w_c, w_o)) - 1.0
+    g_neg = _sigmoid(np.einsum("bd,bmd->bm", w_c, w_n))
+    grad_center = g_pos[:, None] * w_o + np.einsum("bm,bmd->bd", g_neg, w_n)
+    grad_context = g_pos[:, None] * w_c
+    grad_negatives = g_neg[..., None] * w_c[:, None, :]
+    input_opt.update(centers, grad_center, lr=lr)
+    context_opt.update(
+        np.concatenate([contexts, negatives.reshape(-1)]),
+        np.concatenate([grad_context, grad_negatives.reshape(-1, emb.shape[1])]),
+        lr=lr,
+    )
+
+
+class TestFusedUpdateMatchesMaterialized:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_steps_bit_identical(self, optimizer, dtype):
+        rng = np.random.default_rng(7)
+        num_nodes, dim, batch, m = 9, 6, 40, 5
+        start = rng.normal(0, 0.3, size=(num_nodes, dim)).astype(dtype)
+        trainer = SkipGramTrainer(start.copy(), optimizer=optimizer)
+        _, oracle_cls = ROW_OPTIMIZERS[optimizer]
+        input_opt = oracle_cls(start.copy(), lr=0.025)
+        context_opt = oracle_cls(np.zeros_like(start), lr=0.025)
+        for _ in range(6):
+            # few nodes: rows repeat within and across the two roles
+            centers = rng.integers(num_nodes, size=batch)
+            contexts = rng.integers(num_nodes, size=batch)
+            negatives = rng.integers(num_nodes, size=(batch, m))
+            trainer.train_batch(centers, contexts, negatives, lr=0.05)
+            _materialized_step(
+                input_opt, context_opt, centers, contexts, negatives, lr=0.05
+            )
+            assert np.array_equal(trainer.embeddings, input_opt.matrix)
+            assert np.array_equal(trainer.context, context_opt.matrix)
